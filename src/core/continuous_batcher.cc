@@ -4,11 +4,10 @@
 #include <string>
 #include <utility>
 
-#include "comm/collectives.h"
+#include "core/lane_core.h"
 #include "obs/attribution.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/stats.h"
 
 namespace dsinfer::core {
 
@@ -24,24 +23,6 @@ double to_us(double virtual_s) { return virtual_s * 1e6; }
 
 }  // namespace
 
-// A decoder lane: the ragged decoder plus per-slot links back to the trace
-// request occupying each slot and the retries its invocations absorbed.
-struct ContinuousBatcher::Lane {
-  Lane(InferenceEngine& engine, std::int64_t slots,
-       const SamplingOptions& sampling, std::uint64_t seed, bool is_degraded)
-      : decoder(engine, slots, sampling, seed),
-        req(static_cast<std::size_t>(slots), 0),
-        retries(static_cast<std::size_t>(slots), 0),
-        phases(static_cast<std::size_t>(slots)),
-        degraded(is_degraded) {}
-
-  RaggedDecoder decoder;
-  std::vector<std::size_t> req;
-  std::vector<std::int64_t> retries;
-  std::vector<obs::PhaseBreakdown> phases;  // attribution ledger per slot
-  bool degraded = false;
-};
-
 ContinuousBatcher::ContinuousBatcher(
     InferenceEngine& primary, std::function<InferenceEngine&()> degraded,
     const ServerOptions& opts,
@@ -51,142 +32,37 @@ ContinuousBatcher::ContinuousBatcher(
     : primary_(primary), degraded_factory_(std::move(degraded)), opts_(opts),
       estimate_s_(std::move(estimate_s)), seed_(seed) {}
 
-ContinuousBatcher::~ContinuousBatcher() = default;
-
 void ContinuousBatcher::run(const std::vector<TimedRequest>& requests,
                             const std::vector<std::size_t>& order,
                             std::vector<RequestStats>& stats,
                             ServingCounters& counters) {
   const auto& res = opts_.resilience;
-  const auto& vs = opts_.virtual_service;
-  // Constant per configuration: the draft lane's cost per fused verify step
-  // in decode-iteration units (0 when speculation is off — see ISSUE 10
-  // pricing in step_lane below).
-  const double draft_cost_factor = RaggedDecoder::spec_draft_cost_factor(
-      opts_.engine, primary_.layer_count());
   const bool tracing = obs::trace_enabled();
   const bool metrics = obs::metrics_enabled();
   auto& rec = obs::TraceRecorder::instance();
-
-  primary_lane_ = std::make_unique<Lane>(primary_, opts_.max_batch,
-                                         opts_.sampling, seed_, false);
-  degraded_lane_.reset();
-
-  double clock = 0;
-  std::size_t qi = 0;  // next unadmitted entry in `order`
-  std::int64_t steps = 0;
   std::int64_t slots_released = 0;
 
-  auto active_total = [&]() {
-    return primary_lane_->decoder.active() +
-           (degraded_lane_ ? degraded_lane_->decoder.active() : 0);
-  };
-
-  // Attribution (ISSUE 8): every virtual-clock advance is charged, by cause,
-  // to every slot live while it elapses — the single shared clock means all
-  // co-scheduled sequences experience the same advance, so each slot's
-  // ledger sums exactly to its residency and per-request totality holds by
-  // construction.
-  auto charge_active = [&](double dt, obs::Phase p) {
-    if (dt <= 0) return;
-    for (Lane* lane : {primary_lane_.get(), degraded_lane_.get()}) {
-      if (!lane) continue;
-      for (std::int64_t s = 0; s < lane->decoder.capacity(); ++s) {
-        if (lane->decoder.arena().in_use(s)) {
-          lane->phases[static_cast<std::size_t>(s)].add(p, dt);
-        }
-      }
-    }
-  };
-
-  // Measured-mode split of one invocation: the comm/zero/kv hooks report
-  // their wall time through obs::attr_charge; concurrent TP ranks can
-  // over-count past the invocation's wall clock, so sub-phases are scaled
-  // down to fit and the remainder is compute. Parts sum to `dt` exactly.
-  auto charge_split = [&](double dt, const obs::PhaseBreakdown& sub,
-                          obs::Phase compute) {
-    constexpr obs::Phase kSub[] = {obs::Phase::kTpAllreduce,
-                                   obs::Phase::kZeroFetch,
-                                   obs::Phase::kKvSpill};
-    double sub_total = 0;
-    for (obs::Phase p : kSub) sub_total += sub.get(p);
-    const double scale = sub_total > dt ? dt / sub_total : 1.0;
-    double charged = 0;
-    for (obs::Phase p : kSub) {
-      const double part = sub.get(p) * scale;
-      charge_active(part, p);
-      charged += part;
-    }
-    charge_active(dt - charged, compute);
-  };
-
-  // Chaos-aware engine invocation: each attempt draws the injector and
-  // catches typed streaming faults; failures cost exponential virtual
-  // backoff on the clock. Returns false when the retry budget is exhausted.
-  // On success `measured_s` holds the attempt's wall-clock and `sub` the
-  // comm/zero/kv sub-phase wall time that attempt reported (re-armed per
-  // attempt, so a failed attempt's charges never leak into the winner's).
-  auto with_retry = [&](auto&& invoke, std::int64_t& tries, double& measured_s,
-                        obs::PhaseBreakdown& sub) {
-    tries = 0;
-    measured_s = 0;
-    for (;;) {
-      bool fault = res.injector && res.injector->should_fail(res.engine_site);
-      if (!fault) {
-        try {
-          obs::SubPhaseScope sub_scope;
-          Stopwatch sw;
-          invoke();
-          measured_s = sw.elapsed_s();
-          sub = sub_scope.take();
-          return true;
-        } catch (const zero::StreamFault&) {
-          fault = true;
-        } catch (const comm::CommFault&) {
-          // A rank fault on the TP ragged path (ISSUE 5). The decoder has
-          // already rewound every arena shard, and each fused step runs on a
-          // fresh DeviceGroup, so the retry starts from a clean
-          // communicator.
-          fault = true;
-        }
-      }
-      ++counters.engine_faults;
-      if (tracing) {
-        rec.instant_at(obs::kServerPid, kBatcherTrack, to_us(clock), "server",
-                       "engine fault");
-      }
-      if (tries >= res.max_retries) return false;
-      const double backoff =
-          res.retry_backoff_s * static_cast<double>(1LL << tries);
-      clock += backoff;
-      charge_active(backoff, obs::Phase::kRetryBackoff);
-      ++tries;
-      ++counters.retries;
-      if (tracing) {
-        rec.instant_at(obs::kServerPid, kBatcherTrack, to_us(clock), "server",
-                       "retry " + std::to_string(tries));
-      }
-    }
-  };
-
-  // Retires `slot` and writes its request's terminal stats at time `now`.
-  auto finalize = [&](Lane& lane, std::int64_t slot, bool failed, double now) {
-    const std::size_t idx = lane.req[static_cast<std::size_t>(slot)];
-    const auto& rq = requests[idx];
-    auto& st = stats[idx];
+  // Writes the terminal stats of the request in `slot`; the core retires
+  // the slot right after.
+  auto finalize = [&](LaneCore& core, DecoderLane& lane, std::int64_t slot,
+                      bool failed) {
+    const auto us = static_cast<std::size_t>(slot);
+    const double now = core.clock();
+    const auto& rq = requests[lane.req[us]];
+    auto& st = stats[lane.req[us]];
     st.finish_s = now;
-    st.retries = lane.retries[static_cast<std::size_t>(slot)];
+    st.retries = lane.retries[us];
+    st.batch_size = lane.occ[us];  // step occupancy at admission
     // [start_s, finish_s] from the slot's ledger; queue wait was attributed
-    // at admission. Together they sum to latency_s() (ISSUE 8 totality).
-    st.attr.merge(lane.phases[static_cast<std::size_t>(slot)]);
+    // at admission. Together they sum to latency_s().
+    st.attr.merge(lane.phases[us]);
     if (failed) {
       st.outcome = RequestStats::Outcome::kFailed;
       st.tokens = rq.prompt;  // nothing usable was generated
       ++counters.failures;
     } else {
-      // Exact per-sequence accounting: the decoder's token list is the
-      // prompt plus what was actually generated — truncated at the stop
-      // token, never padded (ISSUE 4 satellite).
+      // The prompt plus what was actually generated — truncated at the
+      // stop token, never padded.
       st.tokens = lane.decoder.tokens(slot);
       st.stopped = lane.decoder.stopped(slot);
       st.degraded = lane.degraded;
@@ -226,24 +102,47 @@ void ContinuousBatcher::run(const std::vector<TimedRequest>& requests,
       reg.histogram("server.queue_delay_s").record(st.start_s - rq.arrival_s);
       reg.histogram("server.latency_s").record(now - rq.arrival_s);
     }
-    lane.decoder.retire(slot);
     ++slots_released;
   };
 
+  LaneCore core(primary_, degraded_factory_, opts_, seed_, res.injector,
+                res.engine_site, LaneCore::StepClock::kOneSum,
+                [&](DecoderLane& lane, std::int64_t slot, bool failed) {
+                  finalize(core, lane, slot, failed);
+                });
+  if (tracing) {
+    core.on_fault = [&](const std::string& what) {
+      rec.instant_at(obs::kServerPid, kBatcherTrack, to_us(core.clock()),
+                     "server", what);
+    };
+  }
+
+  // Terminal stats of a request that never held a slot.
+  auto reject = [&](const TimedRequest& rq, RequestStats& st,
+                    RequestStats::Outcome outcome, const char* what) {
+    st.finish_s = core.clock();
+    st.outcome = outcome;
+    if (tracing) {
+      rec.instant_at(obs::kServerPid, request_track(rq.id),
+                     to_us(core.clock()), "server", what);
+    }
+  };
+
   // Admits queued arrivals (strict FIFO) whose arrival time has passed.
-  // Stops at the first request whose target lane has no free slot — it keeps
-  // its place at the head of the queue until a retirement frees one.
+  // Stops at the first request whose target lane has no room — it keeps its
+  // place at the head of the queue until a retirement frees one.
+  std::size_t qi = 0;  // next unadmitted entry in `order`
   auto try_admit = [&]() {
-    while (qi < order.size()) {
+    for (; qi < order.size(); ++qi) {
       const std::size_t idx = order[qi];
       const auto& rq = requests[idx];
+      const double clock = core.clock();
       if (rq.arrival_s > clock) break;
 
       // Overload routing is evaluated at the admission instant — the delay
-      // this request has actually accrued, not a stale head-of-window guess.
-      // Batch-class requests (ISSUE 6) always ride the degraded INT8
-      // half-capacity lane: the SLO class pins the lane the overload path
-      // only falls back to.
+      // this request has actually accrued. Batch-class requests always ride
+      // the degraded INT8 half-capacity lane: the SLO class pins the lane
+      // the overload path only falls back to.
       const bool overload = rq.slo == SloClass::kBatch ||
                             (res.degrade_under_overload &&
                              (clock - rq.arrival_s) > res.overload_queue_s);
@@ -252,45 +151,31 @@ void ContinuousBatcher::run(const std::vector<TimedRequest>& requests,
       st.id = rq.id;
       st.arrival_s = rq.arrival_s;
       st.deadline_s = rq.deadline_s;
+      st.start_s = clock;
 
-      // Prompt-aware admission pricing (ISSUE 9): the estimate carries the
-      // prompt length so long prompts price their prefill, discounted by the
-      // tokens already resident in the target lane's prefix cache (they are
-      // reused, not recomputed). A lane that doesn't exist yet has no cache.
-      Lane* target = overload ? degraded_lane_.get() : primary_lane_.get();
+      // Prompt-aware admission pricing, discounted by the tokens already
+      // resident in the target lane's prefix cache (they are reused, not
+      // recomputed). A lane that doesn't exist yet has no cache.
+      DecoderLane* target = overload ? core.degraded() : &core.primary();
       const std::int64_t hit_tokens =
           target ? target->decoder.resident_prefix_tokens(rq.prompt) : 0;
       if (res.admission_control && rq.deadline_s < kNoDeadline &&
           clock + estimate_s_(static_cast<std::int64_t>(rq.prompt.size()),
                               rq.new_tokens, overload, hit_tokens) >
               rq.deadline_s) {
-        st.start_s = st.finish_s = clock;  // decision instant; no service
-        st.outcome = RequestStats::Outcome::kShed;
         st.attr.add(obs::Phase::kShed, clock - rq.arrival_s);
         ++counters.sheds;
-        ++qi;
-        if (tracing) {
-          rec.instant_at(obs::kServerPid, request_track(rq.id), to_us(clock),
-                         "server", "shed");
-        }
+        reject(rq, st, RequestStats::Outcome::kShed, "shed");
         continue;
       }
 
-      if (overload && !degraded_lane_) {
-        degraded_lane_ = std::make_unique<Lane>(
-            degraded_factory_(), std::max<std::int64_t>(1, opts_.max_batch / 2),
-            opts_.sampling, seed_ + 1, true);
-      }
-      Lane& lane = overload ? *degraded_lane_ : *primary_lane_;
-      // Structural KV shed (ISSUE 7): a request whose worst-case pages can
-      // never fit the lane's pool (or whose tokens exceed max_seq) would
-      // block the FIFO head forever — reject it now, reporting the page
-      // arithmetic instead of a bare refusal.
+      DecoderLane& lane = overload ? core.degraded_lane() : core.primary();
+      // Structural KV shed: a request whose worst-case pages can never fit
+      // the lane's pool (or whose tokens exceed max_seq) would block the
+      // FIFO head forever — reject it now, reporting the page arithmetic.
       const auto P = static_cast<std::int64_t>(rq.prompt.size());
       if (!lane.decoder.fits(P, rq.new_tokens)) {
         const auto& arena = lane.decoder.arena();
-        st.start_s = st.finish_s = clock;
-        st.outcome = RequestStats::Outcome::kShed;
         st.shed_reason =
             "kv pages: need " +
             std::to_string(arena.pages_needed(P + rq.new_tokens)) + " of " +
@@ -299,194 +184,78 @@ void ContinuousBatcher::run(const std::vector<TimedRequest>& requests,
             std::to_string(arena.max_seq()) + ")";
         st.attr.add(obs::Phase::kShed, clock - rq.arrival_s);
         ++counters.sheds;
-        ++qi;
-        if (tracing) {
-          rec.instant_at(obs::kServerPid, request_track(rq.id), to_us(clock),
-                         "server", "shed (kv pages)");
-        }
+        reject(rq, st, RequestStats::Outcome::kShed, "shed (kv pages)");
         continue;
       }
-      // Admission budgets pages on prompt + max_new *actual* tokens, not
-      // worst-case max_seq (ISSUE 7): the queue head waits for retirements
-      // to free slots AND page budget. Strip mode degenerates to the old
-      // free-slot gate.
+      // The head waits for retirements to free a slot AND page budget for
+      // its prompt + max_new actual tokens (strip mode: a free slot).
       if (!lane.decoder.can_admit(rq.prompt, rq.new_tokens)) break;
 
-      st.start_s = clock;
-      std::int64_t slot = -1;
+      st.attr.add(obs::Phase::kAdmissionWait, clock - rq.arrival_s);
       std::int64_t tries = 0;
-      double measured_s = 0;
-      obs::PhaseBreakdown sub;
-      const bool ok = with_retry(
-          [&] { slot = lane.decoder.admit(rq.prompt, rq.new_tokens); }, tries,
-          measured_s, sub);
-      ++qi;
-      if (!ok) {
-        st.finish_s = clock;
+      const std::int64_t slot = core.admit(lane, idx, rq, tries);
+      if (slot < 0) {
         st.retries = tries;
-        st.outcome = RequestStats::Outcome::kFailed;
         st.tokens = rq.prompt;
-        st.attr.add(obs::Phase::kAdmissionWait, st.start_s - rq.arrival_s);
-        st.attr.add(obs::Phase::kRetryBackoff, clock - st.start_s);
+        st.attr.add(obs::Phase::kRetryBackoff, core.clock() - st.start_s);
         ++counters.failures;
-        if (tracing) {
-          rec.instant_at(obs::kServerPid, request_track(rq.id), to_us(clock),
-                         "server", "failed");
-        }
+        reject(rq, st, RequestStats::Outcome::kFailed, "failed");
         continue;
       }
-      lane.req[static_cast<std::size_t>(slot)] = idx;
-      lane.retries[static_cast<std::size_t>(slot)] = tries;
-      // The slot only became chargeable when admit() succeeded, so back-fill
-      // the backoff its own admission attempts cost (other live slots were
-      // charged as the clock moved; this one was not yet in a slot).
-      lane.phases[static_cast<std::size_t>(slot)].clear();
-      lane.phases[static_cast<std::size_t>(slot)].add(
-          obs::Phase::kRetryBackoff, clock - st.start_s);
-      st.attr.add(obs::Phase::kAdmissionWait, st.start_s - rq.arrival_s);
-      // Prefill is charged per chunk (ISSUE 9): admit() ran only the first
-      // prefill_chunk_tokens prompt rows (all of them when chunking is off);
-      // later chunks ride — and are priced inside — subsequent step()s.
-      const double prefill_dt =
-          vs.enabled
-              ? (vs.prefill_s +
-                 vs.prefill_token_s *
-                     static_cast<double>(
-                         lane.decoder.last_step_prefill_rows())) *
-                    (lane.degraded ? vs.degraded_factor : 1.0)
-              : measured_s;
-      if (vs.enabled) {
-        charge_active(prefill_dt, obs::Phase::kPrefill);
-      } else {
-        charge_split(prefill_dt, sub, obs::Phase::kPrefill);
-      }
-      clock += prefill_dt;
-      st.batch_size = active_total();  // step occupancy at admission
       if (tracing) {
-        rec.instant_at(obs::kServerPid, request_track(rq.id), to_us(st.start_s),
+        rec.instant_at(obs::kServerPid, request_track(rq.id), to_us(clock),
                        "server", "admit slot " + std::to_string(slot));
       }
-      if (lane.decoder.finished(slot)) finalize(lane, slot, false, clock);
     }
   };
 
-  // Inter-decode-step interval probe (ISSUE 9): the bench's stall metric.
-  // Marks the clock at every decode-bearing primary-lane iteration; the gap
-  // between consecutive marks accumulates whatever ran in between (admit
-  // prefill chunks, backoff, the degraded lane) — exactly the stall a
-  // monolithic long-prompt admit injects into co-scheduled decodes.
+  // Inter-decode-step interval probe (the bench's stall metric): marks the
+  // clock at every decode-bearing primary-lane iteration; the gap between
+  // consecutive marks accumulates whatever ran in between (admit prefill
+  // chunks, backoff, the degraded lane).
   std::vector<double>* interval_sink = opts_.decode_interval_sink;
   double decode_mark = -1;
-
-  // One decode iteration over a lane: every live sequence advances one
-  // token (mid-prefill sequences advance one prompt chunk), finished
-  // sequences retire (and free their slots) immediately.
-  auto step_lane = [&](Lane* lane) {
-    if (!lane || lane->decoder.active() == 0) return;
-    std::int64_t tries = 0;
-    double measured_s = 0;
-    obs::PhaseBreakdown sub;
-    const bool ok =
-        with_retry([&] { lane->decoder.step(); }, tries, measured_s, sub);
-    if (tries > 0) {
-      for (std::int64_t s = 0; s < lane->decoder.capacity(); ++s) {
-        if (lane->decoder.arena().in_use(s)) {
-          lane->retries[static_cast<std::size_t>(s)] += tries;
-        }
-      }
-    }
-    if (!ok) {
-      // Retry budget exhausted mid-stream: every sequence live on this lane
-      // fails; their slots free for the still-queued arrivals.
-      for (std::int64_t s = 0; s < lane->decoder.capacity(); ++s) {
-        if (lane->decoder.arena().in_use(s)) finalize(*lane, s, true, clock);
-      }
-      return;
-    }
-    const std::int64_t prefill_rows = lane->decoder.last_step_prefill_rows();
-    const std::int64_t decode_rows = lane->decoder.last_step_decode_rows();
-    const double factor = lane->degraded ? vs.degraded_factor : 1.0;
-    if (vs.enabled) {
-      // Price the fused iteration as max(prefill part, decode part), split
-      // by row type for attribution (ISSUE 9): the one-token decode rows
-      // are memory-bound, so a bounded prompt chunk rides the iteration's
-      // idle compute — the piggyback that makes chunked prefill nearly free
-      // is the model, not a special case. Monolithic prefill runs inside
-      // admit() with nothing to overlap and pays its full serial price; a
-      // pure-prefill iteration (no decode-ready slot) likewise pays its
-      // chunk alone.
-      //
-      // Speculative decode (ISSUE 10): the fused verify iteration costs
-      // max(verify lane, draft lane) — k one-token verify rows stay
-      // memory-bound like a plain decode row, while the draft lane's k-1
-      // truncated-depth passes cost spec_draft_cost_factor() decode
-      // iterations. The excess over the verify lane is charged to
-      // kDraftCompute (attribution totality keeps holding: the three parts
-      // sum to the clock advance), and prefill chunks interleave against
-      // the whole fused step.
-      const double prefill_part =
-          vs.prefill_token_s * static_cast<double>(prefill_rows) * factor;
-      const double decode_dt = decode_rows > 0 ? vs.per_token_s * factor : 0.0;
-      const double draft_dt =
-          decode_rows > 0 ? vs.per_token_s * draft_cost_factor * factor : 0.0;
-      const double draft_excess = std::max(0.0, draft_dt - decode_dt);
-      const double fused_dt = decode_dt + draft_excess;
-      const double prefill_dt = std::max(prefill_part, fused_dt) - fused_dt;
-      charge_active(prefill_dt, obs::Phase::kPrefill);
-      charge_active(decode_dt, obs::Phase::kDecodeCompute);
-      charge_active(draft_excess, obs::Phase::kDraftCompute);
-      clock += prefill_dt + fused_dt;
-    } else {
-      // Measured mode can't separate the fused rows' wall time; attribute
-      // the remainder to the dominant row type.
-      charge_split(measured_s, sub,
-                   decode_rows > 0 ? obs::Phase::kDecodeCompute
-                                   : obs::Phase::kPrefill);
-      clock += measured_s;
-    }
-    if (interval_sink && !lane->degraded && decode_rows > 0) {
-      if (decode_mark >= 0) interval_sink->push_back(clock - decode_mark);
-      decode_mark = clock;
-    }
-    for (std::int64_t s = 0; s < lane->decoder.capacity(); ++s) {
-      if (lane->decoder.arena().in_use(s) && lane->decoder.finished(s)) {
-        finalize(*lane, s, false, clock);
-      }
-    }
-  };
+  std::int64_t steps = 0;
 
   for (;;) {
     try_admit();
-    const std::int64_t active = active_total();
+    const std::int64_t active = core.active();
     if (active == 0) {
       if (qi >= order.size()) break;
       // Idle: jump the virtual clock to the next arrival.
-      clock = std::max(clock, requests[order[qi]].arrival_s);
+      core.advance_to(requests[order[qi]].arrival_s, obs::Phase::kStall);
       continue;
     }
-    const double step_begin = clock;
+    const double step_begin = core.clock();
     if (metrics) {
       obs::MetricsRegistry::instance()
           .histogram("server.step_occupancy")
           .record(static_cast<double>(active));
     }
-    step_lane(primary_lane_.get());
-    step_lane(degraded_lane_.get());
+    if (core.step(core.primary()) > 0 && interval_sink) {
+      const double now = core.clock();
+      if (decode_mark >= 0) interval_sink->push_back(now - decode_mark);
+      decode_mark = now;
+    }
+    if (DecoderLane* degraded = core.degraded()) core.step(*degraded);
     ++steps;
-    if (tracing && clock > step_begin) {
+    if (tracing && core.clock() > step_begin) {
       rec.complete_at(obs::kServerPid, kBatcherTrack, to_us(step_begin),
-                      to_us(clock - step_begin), "server",
+                      to_us(core.clock() - step_begin), "server",
                       "step x" + std::to_string(active),
                       "{\"occupancy\":" + std::to_string(active) + "}");
     }
   }
 
+  counters.engine_faults += core.engine_faults();
+  counters.retries += core.engine_retries();
   if (metrics) {
     auto& reg = obs::MetricsRegistry::instance();
     reg.counter("server.steps").add(steps);
     reg.counter("server.slots_acquired")
-        .add(primary_lane_->decoder.total_admitted() +
-             (degraded_lane_ ? degraded_lane_->decoder.total_admitted() : 0));
+        .add(core.primary().decoder.total_admitted() +
+             (core.degraded() ? core.degraded()->decoder.total_admitted()
+                              : 0));
     reg.counter("server.slots_released").add(slots_released);
   }
 }

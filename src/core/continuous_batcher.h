@@ -9,17 +9,18 @@
 // it hits its stop token or token budget. No batch-wide max_new, no padding,
 // no head-of-line blocking on shape.
 //
-// The resilience machinery matches the window path: admission-control shed,
-// degrade-under-overload (late-queued arrivals route to an INT8 decoder with
-// half the slots), and engine-fault retry with exponential virtual backoff.
-// Time follows the server convention — virtual arrivals/queueing, service
-// priced by VirtualServiceModel when enabled (prefill_s per admission,
-// per_token_s per decode iteration) or measured with a stopwatch otherwise.
+// The lane machinery (admit, fused step, engine-fault retry with exponential
+// virtual backoff, attribution charging, the degraded INT8 half-capacity
+// lane) is core::LaneCore, shared with fleet::Replica. What this class adds
+// is the single-server queue policy: strict-FIFO admission, admission-
+// control and structural KV sheds, degrade-under-overload routing, tracing,
+// and the decode-interval probe. Time follows the server convention —
+// virtual arrivals/queueing, service priced by IterationCost when the
+// VirtualServiceModel is enabled or measured with a stopwatch otherwise.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/inference_engine.h"
@@ -42,7 +43,6 @@ class ContinuousBatcher {
       std::function<double(std::int64_t, std::int64_t, bool, std::int64_t)>
           estimate_s,
       std::uint64_t seed);
-  ~ContinuousBatcher();
 
   // Replays `requests` on the virtual clock. `order` holds indices into
   // `requests` sorted by arrival (FIFO admission follows it); requests are
@@ -53,18 +53,12 @@ class ContinuousBatcher {
            std::vector<RequestStats>& stats, ServingCounters& counters);
 
  private:
-  // One decoder lane (primary or degraded) plus the bookkeeping tying arena
-  // slots back to trace requests.
-  struct Lane;
-
   InferenceEngine& primary_;
   std::function<InferenceEngine&()> degraded_factory_;
   const ServerOptions& opts_;
   std::function<double(std::int64_t, std::int64_t, bool, std::int64_t)>
       estimate_s_;
   std::uint64_t seed_;
-  std::unique_ptr<Lane> primary_lane_;
-  std::unique_ptr<Lane> degraded_lane_;  // built on first overload routing
 };
 
 }  // namespace dsinfer::core

@@ -353,17 +353,14 @@ class RaggedDecoder {
   // equals the advanced-slot count when speculation is off).
   std::int64_t last_step_spec_tokens() const { return last_spec_tokens_; }
 
-  // Virtual-clock pricing helpers (ISSUE 10) shared by ContinuousBatcher,
-  // InferenceServer::estimate_service_s, fleet::Replica, and the fleet_sim
-  // DES twin so every model prices speculation identically.
+  // Speculation inputs of the virtual clock, read by core::IterationCost.
   //
   // spec_draft_cost_factor: the draft lane's cost per fused step in units of
   // one target decode pass — (k-1) proposal passes through
   // eff_draft_layers/layer_count of the stack, halved when the draft is
-  // INT8. 0 when speculation is off. The fused step charges
-  // max(1, factor) * per_token_s: verify rows ride the bandwidth-bound GeMM
-  // for free (the paper's deep-fusion argument applied across time steps),
-  // so the step costs whichever lane is longer.
+  // INT8. 0 when speculation is off. Verify rows ride the bandwidth-bound
+  // GeMM for free (the paper's deep-fusion argument applied across time
+  // steps), so a fused step costs whichever lane is longer.
   static double spec_draft_cost_factor(const EngineOptions& opts,
                                        std::int64_t layer_count);
   // Expected tokens retired per fused step at the configured acceptance

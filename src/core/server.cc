@@ -7,6 +7,8 @@
 
 #include "core/continuous_batcher.h"
 #include "core/engine_spec.h"
+#include "core/iteration_cost.h"
+#include "core/lane_core.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/stats.h"
@@ -44,45 +46,28 @@ InferenceServer::InferenceServer(const model::DenseModelConfig& cfg,
 
 InferenceEngine& InferenceServer::degraded_engine() {
   if (!degraded_) {
-    // Same seed => identical weights; only the execution fidelity drops
-    // (INT8 kernels, or INT8-streamed weights when the primary streams).
-    EngineOptions d = opts_.engine;
-    if (d.stream_weights) {
-      d.stream_int8 = true;
-    } else {
-      d.policy.dtype = kernels::Dtype::kINT8;
-      d.policy.gemm = kernels::GemmKind::kBlocked;
-    }
-    degraded_ = std::make_unique<InferenceEngine>(cfg_, d, seed_);
+    degraded_ = std::make_unique<InferenceEngine>(
+        cfg_, degraded_engine_options(opts_.engine), seed_);
   }
   return *degraded_;
+}
+
+IterationCost InferenceServer::cost() const {
+  return IterationCost(opts_.virtual_service, opts_.engine, cfg_.layers);
 }
 
 double InferenceServer::estimate_service_s(
     std::int64_t prompt_tokens, std::int64_t new_tokens, bool degraded,
     std::int64_t prefix_hit_tokens) const {
   // Prefill work is the suffix past the resident prefix-cache hit — matched
-  // tokens are reused, not recomputed, so they must not be priced (ISSUE 9:
-  // the old estimator ignored the prompt entirely; pricing the full prompt
-  // would over-shed cache-warm requests instead).
+  // tokens are reused, not recomputed, so they must not be priced (pricing
+  // the full prompt would over-shed cache-warm requests).
   const std::int64_t suffix =
       std::max<std::int64_t>(0, prompt_tokens - prefix_hit_tokens);
   const auto& vs = opts_.virtual_service;
   if (vs.enabled) {
-    // Speculative decode (ISSUE 10): a fused verify step costs
-    // max(verify lane, draft lane) = per_token_s * max(1, draft cost
-    // factor), and advances spec_step_tokens() tokens, so the effective
-    // per-token rate rescales by their ratio. Identity (1/1) when k == 1;
-    // conservatively >= 1 in measure mode (unknown acceptance models no
-    // multi-token advance, but the draft lane still costs).
-    const double spec_scale =
-        std::max(1.0,
-                 RaggedDecoder::spec_draft_cost_factor(opts_.engine,
-                                                       cfg_.layers)) /
-        RaggedDecoder::spec_step_tokens(opts_.engine);
-    return (vs.base_s + vs.prefill_token_s * static_cast<double>(suffix) +
-            vs.per_token_s * spec_scale * static_cast<double>(new_tokens)) *
-           (degraded ? vs.degraded_factor : 1.0);
+    return cost().estimate_s(vs.base_s, suffix, new_tokens,
+                             degraded ? vs.degraded_factor : 1.0);
   }
   // Measured mode: fixed invocation cost plus per-decode-step cost, so a
   // 100-token request predicts ~10x the service of a 10-token one instead
@@ -93,17 +78,17 @@ double InferenceServer::estimate_service_s(
          ewma_per_token_s_ * static_cast<double>(new_tokens);
 }
 
-void InferenceServer::observe_service(double base_s, double per_token_s,
-                                      double prefill_token_s) {
+void InferenceServer::observe_service(double base_s, double step_s,
+                                      double prompt_token_s) {
   ewma_base_s_ =
       ewma_base_s_ == 0 ? base_s : 0.7 * ewma_base_s_ + 0.3 * base_s;
   ewma_per_token_s_ = ewma_per_token_s_ == 0
-                          ? per_token_s
-                          : 0.7 * ewma_per_token_s_ + 0.3 * per_token_s;
+                          ? step_s
+                          : 0.7 * ewma_per_token_s_ + 0.3 * step_s;
   ewma_prefill_token_s_ =
       ewma_prefill_token_s_ == 0
-          ? prefill_token_s
-          : 0.7 * ewma_prefill_token_s_ + 0.3 * prefill_token_s;
+          ? prompt_token_s
+          : 0.7 * ewma_prefill_token_s_ + 0.3 * prompt_token_s;
 }
 
 std::vector<RequestStats> InferenceServer::run_trace(
@@ -334,31 +319,17 @@ std::vector<RequestStats> InferenceServer::run_window(
     // decode-compute remainder — parts sum to service_s exactly.
     obs::PhaseBreakdown service_attr;
     if (ok) {
-      const double factor = degraded ? vs.degraded_factor : 1.0;
       const double prefill_part =
-          vs.enabled ? (vs.base_s + vs.prefill_token_s *
-                                        static_cast<double>(batch_prompt_len)) *
-                           factor
+          vs.enabled ? cost().estimate_s(vs.base_s, batch_prompt_len, 0,
+                                         degraded ? vs.degraded_factor : 1.0)
                      : std::min(std::max(result.prompt_seconds, 0.0),
                                 service_s);
-      double rest = service_s - prefill_part;
       service_attr.add(obs::Phase::kPrefill, prefill_part);
-      double sub_total = 0;
-      constexpr obs::Phase kSub[] = {obs::Phase::kTpAllreduce,
-                                     obs::Phase::kZeroFetch,
-                                     obs::Phase::kKvSpill};
-      if (!vs.enabled) {
-        double reported = 0;
-        for (obs::Phase p : kSub) reported += sub.get(p);
-        const double scale = reported > rest ? rest / reported : 1.0;
-        for (obs::Phase p : kSub) {
-          const double part = sub.get(p) * scale;
-          service_attr.add(p, part);
-          sub_total += part;
-        }
-      }
-      service_attr.add(obs::Phase::kDecodeCompute,
-                       std::max(0.0, rest - sub_total));
+      // Virtual mode has no sub-phase wall time: the rest is decode.
+      service_attr.merge(
+          split_measured(service_s - prefill_part,
+                         vs.enabled ? obs::PhaseBreakdown{} : sub,
+                         obs::Phase::kDecodeCompute));
     }
     if (ok && !vs.enabled) {
       // Split the measurement into its fixed and per-step parts so the

@@ -70,11 +70,10 @@ struct ResilienceOptions {
   std::string engine_site = "server.engine";
 };
 
-// Deterministic stand-in for measured service time: a batch serving
-// `new_tokens` decode steps costs base_s + per_token_s * new_tokens,
-// scaled by degraded_factor on the degraded path. Makes whole-trace replay
-// (latency fields included) bit-reproducible, which chaos tests and the
-// resilience sweep rely on.
+// Deterministic stand-in for measured service time, priced by
+// core::IterationCost (DESIGN §6b states the formulas). Makes whole-trace
+// replay (latency fields included) bit-reproducible, which chaos tests and
+// the resilience sweep rely on.
 struct VirtualServiceModel {
   bool enabled = false;
   double base_s = 0.01;
@@ -85,15 +84,9 @@ struct VirtualServiceModel {
   // invocation overhead of standing a window batch up, which the always-hot
   // continuous engine does not pay per request.
   double prefill_s = 1e-3;
-  // Per-prompt-token prefill cost (ISSUE 9). 0 keeps the legacy flat-cost
-  // model (prefill priced independent of prompt length). > 0 makes long
-  // prompts cost proportionally more: the admission estimators charge it
-  // serially on the suffix past any resident prefix-cache hit, and the
-  // continuous batcher charges it per chunk actually run. A fused
-  // prefill+decode iteration prices at max(prefill part, per_token_s) —
-  // the one-token decode rows are memory-bound, so a bounded prompt chunk
-  // rides the iteration's idle compute; monolithic prefill runs inside
-  // admit() with nothing to overlap and always pays its full serial price.
+  // Per-prompt-token prefill cost; 0 prices prefill independent of prompt
+  // length. Admission estimates charge it serially, fused iterations only
+  // for the chunk's excess over the decode rows.
   double prefill_token_s = 0.0;
 };
 
@@ -198,6 +191,7 @@ struct ServingCounters {
 };
 
 class ServeSpec;  // core/engine_spec.h — the validated configuration API
+class IterationCost;  // core/iteration_cost.h — the virtual-clock prices
 
 class InferenceServer {
  public:
@@ -223,20 +217,14 @@ class InferenceServer {
   // Counters from the most recent run_trace (reset at each call).
   const ServingCounters& counters() const { return counters_; }
 
-  // Predicted service time for a request: a prefill term — per-prompt-token,
-  // discounted by `prefix_hit_tokens` prompt tokens already resident in the
-  // prefix cache (they will not be prefilled) — plus a per-decode-token term.
-  // Virtual mode reads the service model; measured mode blends per-term
-  // EWMAs so the estimate scales with the request's ask. Speculative decode
-  // (ISSUE 10) rescales the virtual per-token term by
-  // max(1, draft cost factor) / modeled tokens-per-step: the fused verify
-  // iteration costs the max of the verify and draft lanes but advances
-  // multiple tokens, so acceptance-aware admission prices the *effective*
-  // per-token rate. Measured mode needs no rescale — the EWMA already
-  // observes the sped-up steps. Public so tests can assert the scaling.
-  // (The decode-only two-argument form is retired: ISSUE 9 showed pricing
-  // that ignores the prompt admits long-prompt requests into certain
-  // deadline misses; `tests/deprecation_lint.cmake` keeps it dead.)
+  // Predicted service time for a request: base_s, the prompt past the
+  // `prefix_hit_tokens` already resident in the prefix cache, and the new
+  // tokens at the speculation-adjusted rate (IterationCost::estimate_s).
+  // Measured mode blends per-term EWMAs instead; they observe sped-up
+  // speculative steps directly. Public so tests can assert the scaling.
+  // (The decode-only two-argument form is retired — pricing that ignores
+  // the prompt admits long prompts into certain deadline misses;
+  // `tests/deprecation_lint.cmake` keeps it dead.)
   double estimate_service_s(std::int64_t prompt_tokens,
                             std::int64_t new_tokens, bool degraded,
                             std::int64_t prefix_hit_tokens) const;
@@ -245,9 +233,11 @@ class InferenceServer {
   // Lazily built INT8 twin of the primary engine (same seed => same
   // weights); the graceful-degradation path serves on it.
   InferenceEngine& degraded_engine();
+  // The virtual-service prices of this server's configuration.
+  IterationCost cost() const;
   // Folds one measured batch invocation into the EWMA estimator.
-  void observe_service(double base_s, double per_token_s,
-                       double prefill_token_s);
+  void observe_service(double base_s, double step_s,
+                       double prompt_token_s);
 
   std::vector<RequestStats> run_window(
       const std::vector<TimedRequest>& requests,

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/iteration_cost.h"
 #include "core/server.h"
 #include "sim/des.h"
 #include "util/rng.h"
@@ -44,7 +45,7 @@ struct ReqState {
 
 // A replica modeled as the same one-action-at-a-time machine the functional
 // Replica is — admit one request (prefill cost) when a lane has queue + free
-// slot, else one decode iteration (per-token cost per active lane) — with
+// slot, else one decode iteration per active lane, primary lane first — with
 // synthetic remaining-token counters instead of real decoders.
 struct SimLane {
   std::int64_t capacity = 1;
@@ -66,8 +67,37 @@ struct SimLane {
     // arithmetic, same epsilon, so the DES advance matches the functional
     // replica step for step.
     double accept_acc = 0;
+    // Arena slot index. The decoder walks live slots in index order (the
+    // chunked-prefill budget goes to the lowest mid-prefill index first),
+    // so `slots` stays sorted by it.
+    std::int64_t index = 0;
   };
   std::vector<Slot> slots;
+  // Free slot indices, last freed on top — the kernels::KVArena free list.
+  std::vector<std::int64_t> free;
+
+  void init(std::int64_t slots_cap, double factor, bool is_degraded) {
+    capacity = slots_cap;
+    cost_factor = factor;
+    degraded = is_degraded;
+    for (std::int64_t s = capacity - 1; s >= 0; --s) free.push_back(s);
+  }
+  void occupy(Slot slot) {
+    slot.index = free.back();
+    free.pop_back();
+    slots.insert(std::lower_bound(slots.begin(), slots.end(), slot,
+                                  [](const Slot& a, const Slot& b) {
+                                    return a.index < b.index;
+                                  }),
+                 slot);
+  }
+  // Frees slots[s] and returns it.
+  Slot release(std::size_t s) {
+    const Slot slot = slots[s];
+    free.push_back(slot.index);
+    slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(s));
+    return slot;
+  }
 };
 
 struct SimReplica {
@@ -88,6 +118,7 @@ struct SimRun {
   const FleetSpec& spec;
   const FleetOptions& fo;
   const std::vector<TimedRequest>& requests;
+  core::IterationCost cost;
   sim::Simulator sim;
   Rng rng;
   FleetResult result;
@@ -101,15 +132,16 @@ struct SimRun {
   SimRun(const FleetSpec& s, const std::vector<TimedRequest>& reqs,
          std::uint64_t seed)
       : spec(s), fo(s.options()), requests(reqs),
+        cost(s.serve().options().virtual_service, s.serve().options().engine,
+             s.serve().engine().model().layers),
         rng(seed ^ 0x9e3779b97f4a7c15ull), st(reqs.size()),
         reps(static_cast<std::size_t>(fo.replicas)),
         breakers(static_cast<std::size_t>(fo.replicas)) {
     const auto& sopts = spec.serve().options();
     for (auto& rep : reps) {
-      rep.primary.capacity = sopts.max_batch;
-      rep.batch.capacity = std::max<std::int64_t>(1, sopts.max_batch / 2);
-      rep.batch.cost_factor = sopts.virtual_service.degraded_factor;
-      rep.batch.degraded = true;
+      rep.primary.init(sopts.max_batch, 1.0, false);
+      rep.batch.init(std::max<std::int64_t>(1, sopts.max_batch / 2),
+                     sopts.virtual_service.degraded_factor, true);
     }
     result.stats.resize(reqs.size());
     for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -135,21 +167,6 @@ struct SimRun {
 
   double straggle(const SimReplica& rep, double t) const {
     return t < rep.straggle_until ? rep.straggle_factor : 1.0;
-  }
-
-  double estimate_s(const TimedRequest& rq, bool degraded) const {
-    // Mirrors Replica::estimate_s, prompt term included (ISSUE 9) and the
-    // speculative effective-rate rescale (ISSUE 10).
-    const auto& sopts = spec.serve().options();
-    const auto& vs = sopts.virtual_service;
-    const double spec_scale =
-        std::max(1.0, core::RaggedDecoder::spec_draft_cost_factor(
-                          sopts.engine, spec.serve().engine().model().layers)) /
-        core::RaggedDecoder::spec_step_tokens(sopts.engine);
-    return (vs.prefill_s +
-            vs.prefill_token_s * static_cast<double>(rq.prompt.size()) +
-            vs.per_token_s * spec_scale * static_cast<double>(rq.new_tokens)) *
-           (degraded ? vs.degraded_factor : 1.0);
   }
 
   // Speculative decode (ISSUE 10): modeled advance of one fused verify step
@@ -249,7 +266,7 @@ struct SimRun {
                                return s.ridx == i;
                              });
       if (sl != lane->slots.end()) {
-        lane->slots.erase(sl);
+        lane->release(static_cast<std::size_t>(sl - lane->slots.begin()));
         return;
       }
     }
@@ -305,7 +322,7 @@ struct SimRun {
     if (r < 0) return -1;
     auto& rep = reps[static_cast<std::size_t>(r)];
     SimLane& lane = lane_of(rep, requests[i]);
-    const double est = estimate_s(requests[i], lane.degraded);
+    const double est = request_estimate_s(cost, requests[i], lane.degraded);
     rep.charge.emplace(i, est);
     rep.outstanding_s += est;
     lane.queue.push_back(i);
@@ -333,12 +350,7 @@ struct SimRun {
     const auto& rq = requests[i];
     const auto& res = spec.serve().options().resilience;
     if (res.admission_control && rq.deadline_s < core::kNoDeadline) {
-      const auto& vs = spec.serve().options().virtual_service;
-      const double est =
-          vs.prefill_s +
-          vs.prefill_token_s * static_cast<double>(rq.prompt.size()) +
-          vs.per_token_s * static_cast<double>(rq.new_tokens);
-      if (sim.now() + est > rq.deadline_s) {
+      if (sim.now() + request_estimate_s(cost, rq, false) > rq.deadline_s) {
         shed(i, ShedReason::kAdmissionDeadline);
         return;
       }
@@ -406,7 +418,7 @@ struct SimRun {
     rep.outstanding_s = 0;
     for (SimLane* lane : {&rep.primary, &rep.batch}) {
       lane->queue.clear();
-      lane->slots.clear();
+      while (!lane->slots.empty()) lane->release(0);
     }
     for (std::size_t i : drained) {
       auto& copies = st[i].copies;
@@ -490,7 +502,6 @@ struct SimRun {
       sim.schedule_at(rep.stall_until, [this, r] { action(r); });
       return;
     }
-    const auto& vs = spec.serve().options().virtual_service;
     const double f = straggle(rep, sim.now());
     for (SimLane* lane : {&rep.primary, &rep.batch}) {
       if (!lane->queue.empty() &&
@@ -500,30 +511,35 @@ struct SimRun {
         const double start = sim.now();
         const bool degraded = lane->degraded;
         rep.action_scheduled = true;
-        // Admit runs only the first prefill chunk (ISSUE 9); the rest of
-        // the prompt advances through finish_step iterations below.
+        // Admit runs only the first prefill chunk; the rest of the prompt
+        // advances through the finish_lane iterations below.
         const std::int64_t first = chunk_rows(
             static_cast<std::int64_t>(requests[i].prompt.size()));
         sim.schedule_after(
-            (vs.prefill_s + vs.prefill_token_s * static_cast<double>(first)) *
-                lane->cost_factor * f,
+            cost.admit_s(first, lane->cost_factor) * f,
             [this, r, i, start, degraded] { finish_admit(r, i, start,
                                                          degraded); });
         return;
       }
     }
-    // One fused iteration per lane (ISSUE 9): mid-prefill slots advance a
-    // prompt chunk (prefill_token_s per row), decode-ready slots share one
-    // per_token_s advance — the same split the functional replica charges.
-    bool any_slots = false;
-    double cost = 0;
-    for (const SimLane* lane : {&rep.primary, &rep.batch}) {
-      if (lane->slots.empty()) continue;
-      any_slots = true;
+    step_lane(r, 0);  // false: raced with a drain; nothing to do
+  }
+
+  // One fused iteration of the first lane at or after `li` that holds
+  // slots, primary lane first; each lane's iteration is priced and finished
+  // before the next starts — the order the functional replica steps its
+  // lanes in. Mid-prefill slots share the chunk budget in slot order and
+  // advance prompt rows; decode-ready slots ride the decode lane. Returns
+  // false when no such lane holds slots.
+  bool step_lane(std::size_t r, std::size_t li) {
+    auto& rep = reps[r];
+    for (; li < 2; ++li) {
+      const SimLane& lane = li == 0 ? rep.primary : rep.batch;
+      if (lane.slots.empty()) continue;
       std::int64_t budget = chunk_budget();
       std::int64_t prefill_rows = 0;
       bool any_decode = false;
-      for (const auto& slot : lane->slots) {
+      for (const auto& slot : lane.slots) {
         if (slot.prefill_left > 0) {
           const std::int64_t rows = std::min(slot.prefill_left, budget);
           budget -= rows;
@@ -532,22 +548,13 @@ struct SimRun {
           any_decode = true;
         }
       }
-      // max(prefill part, decode part) — the same piggyback pricing as the
-      // functional replica's fused iteration. The decode part is
-      // max(verify, draft) when speculation is on (ISSUE 10): the fused
-      // verify step also runs the draft lane's truncated-depth passes.
-      const double decode_unit =
-          vs.per_token_s *
-          std::max(1.0, core::RaggedDecoder::spec_draft_cost_factor(
-                            spec.serve().options().engine,
-                            spec.serve().engine().model().layers));
-      cost += std::max(vs.prefill_token_s * static_cast<double>(prefill_rows),
-                       any_decode ? decode_unit : 0.0) *
-              lane->cost_factor * f;
+      rep.action_scheduled = true;
+      sim.schedule_after(cost.step(prefill_rows, any_decode ? 1 : 0, 1.0).span *
+                             lane.cost_factor * straggle(rep, sim.now()),
+                         [this, r, li] { finish_lane(r, li); });
+      return true;
     }
-    if (!any_slots) return;  // raced with a drain; nothing to do
-    rep.action_scheduled = true;
-    sim.schedule_after(cost, [this, r] { finish_step(r); });
+    return false;
   }
 
   void finish_admit(std::size_t r, std::size_t i, double start,
@@ -568,52 +575,39 @@ struct SimRun {
       if (prefill_left <= 0 && remaining <= 0) {
         complete(r, i, start, occ, degraded);
       } else {
-        lane.slots.push_back(
-            SimLane::Slot{i, remaining, start, occ, prefill_left});
+        lane.occupy(SimLane::Slot{i, remaining, start, occ, prefill_left});
       }
     }
     ensure_action(r);
   }
 
-  void finish_step(std::size_t r) {
+  void finish_lane(std::size_t r, std::size_t li) {
     auto& rep = reps[r];
     rep.action_scheduled = false;
     if (rep.crashed) return;
-    for (SimLane* lane : {&rep.primary, &rep.batch}) {
-      std::int64_t budget = chunk_budget();
-      for (std::size_t s = 0; s < lane->slots.size();) {
-        auto& slot = lane->slots[s];
-        if (slot.prefill_left > 0) {
-          // Mid-prefill: this iteration advanced a prompt chunk (its share
-          // of the lane's global budget, slot order), not a decode token.
-          // The first decode token samples on the iteration that completes
-          // the prompt (remaining was set at admit).
-          const std::int64_t rows = std::min(slot.prefill_left, budget);
-          budget -= rows;
-          slot.prefill_left -= rows;
-          if (slot.prefill_left <= 0 && slot.remaining <= 0) {
-            const SimLane::Slot finished = slot;
-            lane->slots.erase(lane->slots.begin() +
-                              static_cast<std::ptrdiff_t>(s));
-            complete(r, finished.ridx, finished.admit_s, finished.occ,
-                     lane->degraded);
-          } else {
-            ++s;
-          }
-          continue;
-        }
+    SimLane& lane = li == 0 ? rep.primary : rep.batch;
+    std::int64_t budget = chunk_budget();
+    for (std::size_t s = 0; s < lane.slots.size();) {
+      auto& slot = lane.slots[s];
+      if (slot.prefill_left > 0) {
+        // Mid-prefill: this iteration advanced a prompt chunk (its share of
+        // the lane's global budget, slot order), not a decode token. The
+        // first decode token samples on the iteration that completes the
+        // prompt (remaining was set at admit).
+        const std::int64_t rows = std::min(slot.prefill_left, budget);
+        budget -= rows;
+        slot.prefill_left -= rows;
+      } else {
         slot.remaining -= spec_advance(slot);
-        if (slot.remaining <= 0) {
-          const SimLane::Slot finished = slot;
-          lane->slots.erase(lane->slots.begin() +
-                            static_cast<std::ptrdiff_t>(s));
-          complete(r, finished.ridx, finished.admit_s, finished.occ,
-                   lane->degraded);
-        } else {
-          ++s;
-        }
+      }
+      if (slot.prefill_left <= 0 && slot.remaining <= 0) {
+        const SimLane::Slot done = lane.release(s);
+        complete(r, done.ridx, done.admit_s, done.occ, lane.degraded);
+      } else {
+        ++s;
       }
     }
+    if (li == 0 && step_lane(r, 1)) return;
     ensure_action(r);
   }
 

@@ -3,121 +3,87 @@
 #include <algorithm>
 #include <utility>
 
-#include "comm/collectives.h"
-#include "zero/offload.h"
-
 namespace dsinfer::fleet {
 
-// One decoder lane: the ragged decoder plus per-slot links back to the
-// router's request table, mirroring ContinuousBatcher::Lane but with the
-// admission queue owned here (the router dispatches, the replica admits).
-struct Replica::Lane {
-  Lane(core::InferenceEngine& engine, std::int64_t slots,
-       const core::SamplingOptions& sampling, std::uint64_t seed,
-       bool is_degraded, double factor)
-      : decoder(engine, slots, sampling, seed),
-        ridx(static_cast<std::size_t>(slots), 0),
-        retries(static_cast<std::size_t>(slots), 0),
-        est(static_cast<std::size_t>(slots), 0.0),
-        admit_s(static_cast<std::size_t>(slots), 0.0),
-        occ(static_cast<std::size_t>(slots), 0),
-        phases(static_cast<std::size_t>(slots)),
-        degraded(is_degraded), cost_factor(factor) {}
-
-  core::RaggedDecoder decoder;
-  std::vector<std::size_t> ridx;        // slot -> router request index
-  std::vector<std::int64_t> retries;    // engine retries absorbed per slot
-  std::vector<double> est;              // outstanding-work charge per slot
-  std::vector<double> admit_s;          // service start per slot
-  std::vector<std::int64_t> occ;        // occupancy at admission per slot
-  std::vector<obs::PhaseBreakdown> phases;  // attribution ledger per slot
-  std::deque<std::pair<std::size_t, const core::TimedRequest*>> queue;
-  bool degraded = false;
-  double cost_factor = 1.0;  // degraded_factor on the batch lane
-};
+double request_estimate_s(const core::IterationCost& cost,
+                          const core::TimedRequest& rq, bool degraded) {
+  const auto& vs = cost.model();
+  return cost.estimate_s(vs.prefill_s,
+                         static_cast<std::int64_t>(rq.prompt.size()),
+                         rq.new_tokens, degraded ? vs.degraded_factor : 1.0);
+}
 
 Replica::Replica(const FleetSpec& spec, std::int64_t id, std::uint64_t seed)
     : id_(id), spec_(spec), site_("fleet.r" + std::to_string(id)),
-      seed_(seed), engine_(spec.serve().engine(), seed) {
-  const auto& sopts = spec_.serve().options();
-  primary_ = std::make_unique<Lane>(engine_, sopts.max_batch, sopts.sampling,
-                                    seed_, false, 1.0);
-}
+      seed_(seed), engine_(spec.serve().engine(), seed),
+      core_(
+          engine_,
+          [this]() -> core::InferenceEngine& {
+            degraded_engine_ = std::make_unique<core::InferenceEngine>(
+                spec_.serve().engine().model(),
+                core::degraded_engine_options(spec_.serve().options().engine),
+                seed_);
+            return *degraded_engine_;
+          },
+          spec.serve().options(), seed, spec.options().injector, site_,
+          core::LaneCore::StepClock::kPerPart,
+          [this](core::DecoderLane& lane, std::int64_t slot, bool failed) {
+            const auto us = static_cast<std::size_t>(slot);
+            Completion c;
+            c.ridx = lane.req[us];
+            c.failed = failed;
+            c.batch_lane = lane.degraded;
+            c.admit_s = lane.admit_s[us];
+            c.finish_s = core_.clock();
+            c.retries = lane.retries[us];
+            c.occupancy = lane.occ[us];
+            c.phases = lane.phases[us];
+            if (!failed) {
+              c.tokens = lane.decoder.tokens(slot);
+              c.stopped = lane.decoder.stopped(slot);
+            }
+            refund(c.ridx);
+            done_.push_back(std::move(c));
+          }) {}
 
-Replica::~Replica() = default;
-
-Replica::Lane& Replica::lane_for(const core::TimedRequest& rq) {
-  const auto& sopts = spec_.serve().options();
+core::DecoderLane& Replica::lane_for(const core::TimedRequest& rq) {
   if (rq.slo != core::SloClass::kBatch || !spec_.options().batch_lane) {
-    return *primary_;
+    return core_.primary();
   }
-  if (!batch_) {
-    if (!degraded_engine_) {
-      // Same seed => identical weights; only the execution fidelity drops —
-      // the same INT8 twin the overload path serves on (core/server.cc).
-      core::EngineOptions d = sopts.engine;
-      if (d.stream_weights) {
-        d.stream_int8 = true;
-      } else {
-        d.policy.dtype = kernels::Dtype::kINT8;
-        d.policy.gemm = kernels::GemmKind::kBlocked;
-      }
-      degraded_engine_ = std::make_unique<core::InferenceEngine>(
-          spec_.serve().engine().model(), d, seed_);
-    }
-    batch_ = std::make_unique<Lane>(
-        *degraded_engine_, std::max<std::int64_t>(1, sopts.max_batch / 2),
-        sopts.sampling, seed_ + 1, true,
-        sopts.virtual_service.degraded_factor);
-  }
-  return *batch_;
-}
-
-double Replica::estimate_s(const core::TimedRequest& rq,
-                           bool degraded) const {
-  // Prompt-aware (ISSUE 9): long prompts charge prefill_token_s per token.
-  // No live prefix-cache discount here, deliberately — this estimate is a
-  // refundable ledger entry (enqueue adds it, cancel/failed-admit/finish
-  // subtract the same value), and cache contents change between those
-  // calls; a cache-dependent value would leak the ledger.
-  // Speculative decode (ISSUE 10): same effective-rate rescale as the
-  // server's estimator — a fused verify step costs max(verify, draft) and
-  // advances spec_step_tokens() tokens.
-  const auto& sopts = spec_.serve().options();
-  const auto& vs = sopts.virtual_service;
-  const double spec_scale =
-      std::max(1.0, core::RaggedDecoder::spec_draft_cost_factor(
-                        sopts.engine, spec_.serve().engine().model().layers)) /
-      core::RaggedDecoder::spec_step_tokens(sopts.engine);
-  return (vs.prefill_s +
-          vs.prefill_token_s * static_cast<double>(rq.prompt.size()) +
-          vs.per_token_s * spec_scale * static_cast<double>(rq.new_tokens)) *
-         (degraded ? vs.degraded_factor : 1.0);
+  return core_.degraded_lane();
 }
 
 void Replica::enqueue(std::size_t ridx, const core::TimedRequest* rq) {
-  Lane& lane = lane_for(*rq);
-  lane.queue.emplace_back(ridx, rq);
-  outstanding_s_ += estimate_s(*rq, lane.degraded);
+  core::DecoderLane& lane = lane_for(*rq);
+  queue_of(lane).emplace_back(ridx, rq);
+  const double est = request_estimate_s(core_.cost(), *rq, lane.degraded);
+  ledger_[ridx] = est;
+  outstanding_s_ += est;
+}
+
+void Replica::refund(std::size_t ridx) {
+  const auto it = ledger_.find(ridx);
+  if (it == ledger_.end()) return;
+  outstanding_s_ = std::max(0.0, outstanding_s_ - it->second);
+  ledger_.erase(it);
 }
 
 bool Replica::cancel(std::size_t ridx) {
-  for (Lane* lane : {primary_.get(), batch_.get()}) {
+  for (core::DecoderLane* lane : core_.lanes()) {
     if (!lane) continue;
-    auto it = std::find_if(lane->queue.begin(), lane->queue.end(),
+    Queue& queue = queue_of(*lane);
+    auto it = std::find_if(queue.begin(), queue.end(),
                            [&](const auto& e) { return e.first == ridx; });
-    if (it != lane->queue.end()) {
-      outstanding_s_ =
-          std::max(0.0, outstanding_s_ - estimate_s(*it->second,
-                                                    lane->degraded));
-      lane->queue.erase(it);
+    if (it != queue.end()) {
+      queue.erase(it);
+      refund(ridx);
       return true;
     }
     for (std::int64_t s = 0; s < lane->decoder.capacity(); ++s) {
-      const auto us = static_cast<std::size_t>(s);
-      if (lane->decoder.arena().in_use(s) && lane->ridx[us] == ridx) {
+      if (lane->decoder.arena().in_use(s) &&
+          lane->req[static_cast<std::size_t>(s)] == ridx) {
         lane->decoder.retire(s);  // mid-decode cancellation frees the slot
-        outstanding_s_ = std::max(0.0, outstanding_s_ - lane->est[us]);
+        refund(ridx);
         return true;
       }
     }
@@ -127,58 +93,39 @@ bool Replica::cancel(std::size_t ridx) {
 
 std::vector<std::size_t> Replica::drain() {
   std::vector<std::size_t> out;
-  for (Lane* lane : {primary_.get(), batch_.get()}) {
+  for (core::DecoderLane* lane : core_.lanes()) {
     if (!lane) continue;
-    for (const auto& [ridx, rq] : lane->queue) out.push_back(ridx);
-    lane->queue.clear();
+    Queue& queue = queue_of(*lane);
+    for (const auto& [ridx, rq] : queue) out.push_back(ridx);
+    queue.clear();
     for (std::int64_t s = 0; s < lane->decoder.capacity(); ++s) {
       if (lane->decoder.arena().in_use(s)) {
-        out.push_back(lane->ridx[static_cast<std::size_t>(s)]);
+        out.push_back(lane->req[static_cast<std::size_t>(s)]);
         lane->decoder.retire(s);
       }
     }
   }
+  ledger_.clear();
   outstanding_s_ = 0;
   return out;
 }
 
 bool Replica::has_work() const {
-  for (const Lane* lane : {primary_.get(), batch_.get()}) {
-    if (lane && (!lane->queue.empty() || lane->decoder.active() > 0)) {
-      return true;
-    }
-  }
-  return false;
+  return queued() > 0 || active() > 0;
 }
 
 double Replica::ready_s() const {
   if (crashed_ || !has_work()) return kNever;
-  return std::max(clock_, stall_until_);
-}
-
-std::int64_t Replica::active() const {
-  std::int64_t n = 0;
-  for (const Lane* lane : {primary_.get(), batch_.get()}) {
-    if (lane) n += lane->decoder.active();
-  }
-  return n;
-}
-
-std::int64_t Replica::queued() const {
-  std::int64_t n = 0;
-  for (const Lane* lane : {primary_.get(), batch_.get()}) {
-    if (lane) n += static_cast<std::int64_t>(lane->queue.size());
-  }
-  return n;
+  return std::max(clock(), stall_until_);
 }
 
 bool Replica::fits_request(const core::TimedRequest& rq) const {
-  return primary_->decoder.fits(static_cast<std::int64_t>(rq.prompt.size()),
-                                rq.new_tokens);
+  return core_.primary().decoder.fits(
+      static_cast<std::int64_t>(rq.prompt.size()), rq.new_tokens);
 }
 
 bool Replica::holds_prefix(const core::TimedRequest& rq) const {
-  const auto& d = primary_->decoder;
+  const auto& d = core_.primary().decoder;
   return d.arena().prefix_cache_enabled() &&
          d.cached_prefix_tokens(rq.prompt) > 0;
 }
@@ -188,210 +135,61 @@ void Replica::crash() { crashed_ = true; }
 void Replica::stall_until(double t) { stall_until_ = std::max(stall_until_, t); }
 
 void Replica::straggle(double factor, double until_s) {
-  straggle_factor_ = factor;
-  straggle_until_ = until_s;
+  core_.slow_down(factor, until_s);
 }
 
-bool Replica::with_retry(const std::function<void()>& invoke,
-                         std::int64_t& tries) {
-  const auto& res = spec_.serve().options().resilience;
-  util::FaultInjector* inj = spec_.options().injector;
-  tries = 0;
-  for (;;) {
-    bool fault = inj && inj->should_fail(site_);
-    if (!fault) {
-      try {
-        invoke();
-        return true;
-      } catch (const zero::StreamFault&) {
-        fault = true;
-      } catch (const comm::CommFault&) {
-        fault = true;
-      }
-    }
-    ++engine_faults_;
-    if (tries >= res.max_retries) return false;
-    advance(res.retry_backoff_s * static_cast<double>(1LL << tries),
-            obs::Phase::kRetryBackoff);
-    ++tries;
-    ++engine_retries_;
-  }
-}
-
-void Replica::charge_active(double dt, obs::Phase p) {
-  for (Lane* lane : {primary_.get(), batch_.get()}) {
-    if (!lane) continue;
-    for (std::int64_t s = 0; s < lane->decoder.capacity(); ++s) {
-      if (lane->decoder.arena().in_use(s)) {
-        lane->phases[static_cast<std::size_t>(s)].add(p, dt);
-      }
-    }
-  }
-}
-
-void Replica::advance(double dt, obs::Phase p) {
-  if (dt <= 0) return;
-  clock_ += dt;
-  charge_active(dt, p);
-}
-
-void Replica::finish_slot(Lane& lane, std::int64_t slot, bool failed,
-                          std::int64_t extra_retries,
-                          std::vector<Completion>& out) {
-  const auto us = static_cast<std::size_t>(slot);
-  Completion c;
-  c.ridx = lane.ridx[us];
-  c.failed = failed;
-  c.batch_lane = lane.degraded;
-  c.admit_s = lane.admit_s[us];
-  c.finish_s = clock_;
-  c.retries = lane.retries[us] + extra_retries;
-  c.occupancy = lane.occ[us];
-  c.phases = lane.phases[us];
-  if (!failed) {
-    c.tokens = lane.decoder.tokens(slot);
-    c.stopped = lane.decoder.stopped(slot);
-  }
-  lane.decoder.retire(slot);
-  outstanding_s_ = std::max(0.0, outstanding_s_ - lane.est[us]);
-  out.push_back(std::move(c));
-}
-
-void Replica::admit_one(Lane& lane, std::vector<Completion>& out) {
-  const auto& vs = spec_.serve().options().virtual_service;
-  auto [ridx, rq] = lane.queue.front();
-  lane.queue.pop_front();
-  const double admit_start = clock_;
-  std::int64_t slot = -1;
+void Replica::admit_one(core::DecoderLane& lane, Queue& queue) {
+  auto [ridx, rq] = queue.front();
+  queue.pop_front();
+  const double admit_start = core_.clock();
   std::int64_t tries = 0;
-  const bool ok =
-      with_retry([&] { slot = lane.decoder.admit(rq->prompt, rq->new_tokens); },
-                 tries);
-  if (!ok) {
-    outstanding_s_ =
-        std::max(0.0, outstanding_s_ - estimate_s(*rq, lane.degraded));
-    Completion c;
-    c.ridx = ridx;
-    c.failed = true;
-    c.batch_lane = lane.degraded;
-    c.admit_s = admit_start;
-    c.finish_s = clock_;
-    c.retries = tries;
-    // The copy never held a slot; [admit_s, finish_s] is all backoff.
-    c.phases.add(obs::Phase::kRetryBackoff, clock_ - admit_start);
-    out.push_back(std::move(c));
-    return;
-  }
-  const auto us = static_cast<std::size_t>(slot);
-  lane.ridx[us] = ridx;
-  lane.retries[us] = tries;
-  lane.est[us] = estimate_s(*rq, lane.degraded);
-  lane.admit_s[us] = admit_start;
-  // Fresh ledger (slots are reused); the slot was not yet in use during its
-  // own admission retries, so the backoff accrued since admit_start is
-  // back-charged here to keep [admit_s, finish_s] fully covered.
-  lane.phases[us].clear();
-  lane.phases[us].add(obs::Phase::kRetryBackoff, clock_ - admit_start);
-  // Prefill charged per chunk (ISSUE 9): admit() ran only the first
-  // prefill_chunk_tokens prompt rows; the rest ride subsequent step_lanes
-  // iterations, each priced as it runs.
-  advance((vs.prefill_s +
-           vs.prefill_token_s *
-               static_cast<double>(lane.decoder.last_step_prefill_rows())) *
-              lane.cost_factor * straggle_factor(clock_),
-          obs::Phase::kPrefill);
-  lane.occ[us] = active();
-  if (lane.decoder.finished(slot)) finish_slot(lane, slot, false, 0, out);
-}
-
-void Replica::step_lanes(std::vector<Completion>& out) {
-  const auto& vs = spec_.serve().options().virtual_service;
-  for (Lane* lane : {primary_.get(), batch_.get()}) {
-    if (!lane || lane->decoder.active() == 0) continue;
-    std::int64_t tries = 0;
-    const bool ok = with_retry([&] { lane->decoder.step(); }, tries);
-    if (tries > 0) {
-      for (std::int64_t s = 0; s < lane->decoder.capacity(); ++s) {
-        if (lane->decoder.arena().in_use(s)) {
-          lane->retries[static_cast<std::size_t>(s)] += tries;
-        }
-      }
-    }
-    if (!ok) {
-      // Retry budget exhausted mid-stream: every sequence live on this lane
-      // fails (the router decides whether their failover budget re-admits
-      // them elsewhere); their slots free immediately.
-      for (std::int64_t s = 0; s < lane->decoder.capacity(); ++s) {
-        if (lane->decoder.arena().in_use(s)) finish_slot(*lane, s, true, 0, out);
-      }
-      continue;
-    }
-    // Mixed prefill+decode iteration (ISSUE 9), priced max(prefill part,
-    // decode part) exactly like the continuous batcher: the bounded prompt
-    // chunk piggybacks on the memory-bound decode iteration's idle compute,
-    // so only the excess over the decode charge lands as prefill. A pure-
-    // prefill iteration pays its chunk alone and no per_token_s.
-    const std::int64_t prefill_rows = lane->decoder.last_step_prefill_rows();
-    const std::int64_t decode_rows = lane->decoder.last_step_decode_rows();
-    const double scale = lane->cost_factor * straggle_factor(clock_);
-    const double prefill_part =
-        vs.prefill_token_s * static_cast<double>(prefill_rows) * scale;
-    const double decode_dt = decode_rows > 0 ? vs.per_token_s * scale : 0.0;
-    // Speculative decode (ISSUE 10): the fused verify step costs
-    // max(verify, draft); the draft lane's excess over the verify charge
-    // lands in kDraftCompute, exactly like the continuous batcher, and
-    // prefill chunks interleave against the whole fused step.
-    const double draft_dt =
-        decode_rows > 0
-            ? vs.per_token_s *
-                  core::RaggedDecoder::spec_draft_cost_factor(
-                      spec_.serve().options().engine,
-                      spec_.serve().engine().model().layers) *
-                  scale
-            : 0.0;
-    const double draft_excess = std::max(0.0, draft_dt - decode_dt);
-    const double fused_dt = decode_dt + draft_excess;
-    advance(std::max(prefill_part, fused_dt) - fused_dt,
-            obs::Phase::kPrefill);
-    if (decode_rows > 0) {
-      advance(decode_dt, obs::Phase::kDecodeCompute);
-      advance(draft_excess, obs::Phase::kDraftCompute);
-    }
-    for (std::int64_t s = 0; s < lane->decoder.capacity(); ++s) {
-      if (lane->decoder.arena().in_use(s) && lane->decoder.finished(s)) {
-        finish_slot(*lane, s, false, 0, out);
-      }
-    }
-  }
+  if (core_.admit(lane, ridx, *rq, tries) >= 0) return;
+  refund(ridx);
+  Completion c;
+  c.ridx = ridx;
+  c.failed = true;
+  c.batch_lane = lane.degraded;
+  c.admit_s = admit_start;
+  c.finish_s = core_.clock();
+  c.retries = tries;
+  // The copy never held a slot; [admit_s, finish_s] is all backoff.
+  c.phases.add(obs::Phase::kRetryBackoff, c.finish_s - admit_start);
+  done_.push_back(std::move(c));
 }
 
 void Replica::process_one(double now, std::vector<Completion>& out) {
   // Catching up to the fleet clock (stall recovery, idle wakeup) and
   // injected latency spikes are dead time for every sequence in a slot. The
-  // clock itself still snaps to `now` exactly (clock_ + (now - clock_) can
-  // round differently, and downstream timestamps must stay bit-identical
-  // to the pre-attribution event loop).
-  if (now > clock_) {
-    charge_active(now - clock_, obs::Phase::kStall);
-    clock_ = now;
-  }
+  // clock snaps to `now` exactly: clock + (now - clock) can round
+  // differently, and downstream timestamps must stay bit-identical.
+  core_.advance_to(now, obs::Phase::kStall);
   if (util::FaultInjector* inj = spec_.options().injector) {
-    advance(inj->delay_s(site_), obs::Phase::kStall);
+    core_.advance(inj->delay_s(site_), obs::Phase::kStall);
   }
-  for (Lane* lane : {primary_.get(), batch_.get()}) {
-    // Page-budget admission (ISSUE 7): the queue head needs a free slot AND
-    // committable pool pages for its actual prompt + max_new tokens. The
-    // router only dispatches structurally-fitting requests, so when a lane
-    // is idle can_admit reduces to the old free-slot gate — a blocked head
-    // always has live sequences ahead of it to step (no stall).
-    if (lane && !lane->queue.empty() &&
-        lane->decoder.can_admit(lane->queue.front().second->prompt,
-                                lane->queue.front().second->new_tokens)) {
-      admit_one(*lane, out);
-      return;
+  bool admitted = false;
+  for (core::DecoderLane* lane : core_.lanes()) {
+    // Page-budget admission: the queue head needs a free slot AND
+    // committable pool pages for its prompt + max_new tokens. The router
+    // only dispatches structurally-fitting requests, so when a lane is idle
+    // can_admit reduces to the free-slot gate — a blocked head always has
+    // live sequences ahead of it to step (no stall).
+    if (!lane) continue;
+    Queue& queue = queue_of(*lane);
+    if (!queue.empty() &&
+        lane->decoder.can_admit(queue.front().second->prompt,
+                                queue.front().second->new_tokens)) {
+      admit_one(*lane, queue);
+      admitted = true;
+      break;
     }
   }
-  step_lanes(out);
+  if (!admitted) {
+    for (core::DecoderLane* lane : core_.lanes()) {
+      if (lane) core_.step(*lane);
+    }
+  }
+  for (Completion& c : done_) out.push_back(std::move(c));
+  done_.clear();
 }
 
 }  // namespace dsinfer::fleet

@@ -5,14 +5,14 @@
 // FleetRouter can interleave N replicas, scheduled faults, probes, and
 // hedge timers on one fleet-wide virtual timeline.
 //
-// This is the continuous batcher's lane machinery (admit between decode
-// iterations, retire on stop/budget, engine-fault retry with exponential
-// virtual backoff) factored into an event-loop shape: process_one() performs
-// exactly one scheduling action — admit one queued request, or run one
-// decode iteration across the lanes — and advances the replica clock by that
-// action's virtual cost. The router always advances the globally earliest
-// replica, so replica timelines never run more than one action ahead of the
-// fleet clock.
+// The lanes are a core::LaneCore, the core the continuous batcher runs on
+// too; the replica adds its router queues, the refundable load ledger behind
+// outstanding_s(), cancel/drain and the chaos controls, in an event-loop
+// shape: process_one() performs exactly one scheduling action — admit one
+// queued request, or run one decode iteration across the lanes — and
+// advances the replica clock by its virtual cost. The router always advances
+// the globally earliest replica, so replica timelines never run more than
+// one action ahead of the fleet clock.
 //
 // Chaos surface: crash() freezes the replica forever (work is lost and must
 // fail over), stall_until() freezes it temporarily (probes fail, work
@@ -25,13 +25,14 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "core/inference_engine.h"
+#include "core/lane_core.h"
 #include "fleet/fleet_spec.h"
 #include "obs/attribution.h"
 
@@ -57,7 +58,9 @@ struct Completion {
 class Replica {
  public:
   Replica(const FleetSpec& spec, std::int64_t id, std::uint64_t seed);
-  ~Replica();
+  // The lane core's callbacks hold the replica's address.
+  Replica(const Replica&) = delete;
+  Replica& operator=(const Replica&) = delete;
 
   std::int64_t id() const { return id_; }
 
@@ -103,38 +106,25 @@ class Replica {
   // cache contents — the prefix-warm routing signal.
   bool holds_prefix(const core::TimedRequest& rq) const;
 
-  double clock() const { return clock_; }
+  double clock() const { return core_.clock(); }
   // Estimated queued + in-flight work, the router's load signal.
   double outstanding_s() const { return outstanding_s_; }
-  std::int64_t active() const;
-  std::int64_t queued() const;
-  std::int64_t engine_faults() const { return engine_faults_; }
-  std::int64_t engine_retries() const { return engine_retries_; }
+  std::int64_t active() const { return core_.active(); }
+  std::int64_t queued() const {
+    return static_cast<std::int64_t>(queues_[0].size() + queues_[1].size());
+  }
+  std::int64_t engine_faults() const { return core_.engine_faults(); }
+  std::int64_t engine_retries() const { return core_.engine_retries(); }
 
  private:
-  struct Lane;
+  using Queue = std::deque<std::pair<std::size_t, const core::TimedRequest*>>;
 
-  Lane& lane_for(const core::TimedRequest& rq);
-  double straggle_factor(double t) const {
-    return t < straggle_until_ ? straggle_factor_ : 1.0;
+  core::DecoderLane& lane_for(const core::TimedRequest& rq);
+  Queue& queue_of(const core::DecoderLane& lane) {
+    return queues_[lane.degraded ? 1 : 0];
   }
-  // Estimated full service cost of one request on `degraded` fidelity.
-  double estimate_s(const core::TimedRequest& rq, bool degraded) const;
-  // Runs `invoke` under the engine-fault retry budget, charging backoff to
-  // the replica clock. Returns false when the budget is exhausted.
-  bool with_retry(const std::function<void()>& invoke, std::int64_t& tries);
-  // Adds `dt` to phase `p` on every in-use slot of both lanes (co-scheduled
-  // sequences all experience a shared clock advance).
-  void charge_active(double dt, obs::Phase p);
-  // The only way the replica clock moves forward: advances by `dt` and
-  // charges the same `dt` via charge_active. Keeping every mutation behind
-  // this function (plus the exact catch-up in process_one) is what makes
-  // per-request totality hold by construction (ISSUE 8).
-  void advance(double dt, obs::Phase p);
-  void admit_one(Lane& lane, std::vector<Completion>& out);
-  void step_lanes(std::vector<Completion>& out);
-  void finish_slot(Lane& lane, std::int64_t slot, bool failed,
-                   std::int64_t extra_retries, std::vector<Completion>& out);
+  void refund(std::size_t ridx);  // returns ridx's ledger entry
+  void admit_one(core::DecoderLane& lane, Queue& queue);
 
   std::int64_t id_;
   const FleetSpec& spec_;
@@ -142,18 +132,24 @@ class Replica {
   std::uint64_t seed_;
   core::InferenceEngine engine_;
   std::unique_ptr<core::InferenceEngine> degraded_engine_;
-  std::unique_ptr<Lane> primary_;
-  std::unique_ptr<Lane> batch_;  // built on first batch-class enqueue
+  core::LaneCore core_;
+  Queue queues_[2];  // router queues of the primary and batch lanes
+  // Each copy's estimate, added at enqueue and refunded when it leaves.
+  std::unordered_map<std::size_t, double> ledger_;
+  std::vector<Completion> done_;  // terminal events of the current action
 
-  double clock_ = 0;
   double outstanding_s_ = 0;
   bool crashed_ = false;
   double stall_until_ = 0;
-  double straggle_factor_ = 1.0;
-  double straggle_until_ = 0;
-  std::int64_t engine_faults_ = 0;
-  std::int64_t engine_retries_ = 0;
 };
+
+// The fleet's price of one request on `degraded` fidelity: prefill_s, the
+// whole prompt and the speculation-adjusted decode tokens. No live
+// prefix-cache discount, deliberately — the replica's ledger refunds the
+// same value it charged, and cache contents change in between. Shared by
+// the replica's load ledger, the router's admission check and the DES twin.
+double request_estimate_s(const core::IterationCost& cost,
+                          const core::TimedRequest& rq, bool degraded);
 
 inline constexpr double kNever = std::numeric_limits<double>::infinity();
 

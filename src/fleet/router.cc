@@ -59,6 +59,7 @@ struct Run {
   std::uint64_t seed;
   const std::vector<TimedRequest>& requests;
 
+  core::IterationCost cost;
   std::vector<std::unique_ptr<Replica>> replicas;
   std::vector<Breaker> breakers;
   Rng rng;
@@ -77,6 +78,8 @@ struct Run {
   Run(const FleetSpec& s, std::uint64_t sd,
       const std::vector<TimedRequest>& reqs)
       : spec(s), fo(s.options()), seed(sd), requests(reqs),
+        cost(s.serve().options().virtual_service, s.serve().options().engine,
+             s.serve().engine().model().layers),
         rng(sd ^ 0x9e3779b97f4a7c15ull), st(reqs.size()) {
     const auto n_replicas = static_cast<std::size_t>(fo.replicas);
     replicas.reserve(n_replicas);
@@ -258,11 +261,10 @@ struct Run {
       return;
     }
     const auto& res = spec.serve().options().resilience;
+    // Priced like the replica's ledger entry, at full fidelity: prompt and
+    // speculation terms included, so the twin and the router shed alike.
     if (res.admission_control && rq.deadline_s < core::kNoDeadline) {
-      const auto& vs = spec.serve().options().virtual_service;
-      const double est =
-          vs.prefill_s + vs.per_token_s * static_cast<double>(rq.new_tokens);
-      if (now + est > rq.deadline_s) {
+      if (now + request_estimate_s(cost, rq, false) > rq.deadline_s) {
         shed(i, now, ShedReason::kAdmissionDeadline);
         return;
       }

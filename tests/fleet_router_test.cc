@@ -10,6 +10,7 @@
 #include "core/engine_spec.h"
 #include "core/server.h"
 #include "fleet/fleet_spec.h"
+#include "fleet/fleet_sim.h"
 #include "fleet/load_harness.h"
 #include "fleet/router.h"
 
@@ -338,6 +339,41 @@ TEST(FleetRouter, StructuralKvShedIsTypedArenaPages) {
   EXPECT_TRUE(res.stats[1].base.served());
   EXPECT_EQ(std::string(shed_reason_name(ShedReason::kArenaPages)),
             "arena-pages");
+}
+
+TEST(FleetRouter, AdmissionEstimatePricesThePromptLikeTheTwin) {
+  // With admission control on and a per-prompt-token prefill price, a
+  // long-prompt request whose deadline covers its decode tokens but not
+  // its prefill must be shed before dispatch — by the functional router and
+  // by its DES twin alike. Estimates: decode-only 1 + 4 = 5 ms, with the
+  // 40-token prompt 1 + 40 + 4 = 45 ms, against a 20 ms deadline.
+  core::ServerOptions o;
+  o.engine.policy = kernels::KernelPolicy::optimized_large_batch();
+  o.engine.max_batch = 8;
+  o.engine.max_seq = 64;
+  o.scheduler = core::Scheduler::kContinuous;
+  o.max_batch = 4;
+  o.virtual_service.enabled = true;
+  o.virtual_service.prefill_s = 1e-3;
+  o.virtual_service.per_token_s = 1e-3;
+  o.virtual_service.prefill_token_s = 1e-3;
+  o.resilience.admission_control = true;
+  FleetSpec spec(core::ServeSpec::from_options(model::tiny_gpt(64, 2, 4), o));
+
+  auto long_prompt = req(0, std::vector<std::int32_t>(40, 3), 4, 0.0);
+  long_prompt.deadline_s = 20e-3;
+  auto short_prompt = req(1, {1, 2}, 4, 0.0);  // 1 + 2 + 4 = 7 ms: admitted
+  short_prompt.deadline_s = 20e-3;
+  const std::vector<TimedRequest> trace{long_prompt, short_prompt};
+
+  const FleetResult functional = FleetRouter(spec, 3).run_trace(trace);
+  const FleetResult twin = simulate_fleet(spec, trace, {}, 3);
+  for (const FleetResult* res : {&functional, &twin}) {
+    EXPECT_EQ(res->stats[0].base.outcome, Outcome::kShed);
+    EXPECT_EQ(res->stats[0].reason, ShedReason::kAdmissionDeadline);
+    EXPECT_EQ(res->counters.shed_deadline, 1);
+    EXPECT_TRUE(res->stats[1].base.served());
+  }
 }
 
 TEST(FleetRouter, WarmRoutingFollowsActualCacheContentsPastDeadHome) {
