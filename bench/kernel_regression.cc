@@ -1,9 +1,10 @@
 // Kernel-bench regression harness for the SIMD micro-kernel layer.
 //
 // Times every vectorized kernel at Fig.-6-representative shapes (GPT-2.7B
-// width, decode m<=4 and small-prompt m=16) under both ISAs via the runtime
-// override, and emits machine-readable BENCH_kernels.json (GFLOP/s + GB/s
-// per kernel per ISA) at the repo root — the repo's bench trajectory entry.
+// width, decode m<=4, batched decode m=8 and prompt chunks m=16..64) under
+// both ISAs via the runtime override, and emits machine-readable
+// BENCH_kernels.json (GFLOP/s + GB/s per kernel per ISA) at the repo root —
+// the repo's bench trajectory entry.
 // Emission is deterministic (ISSUE 9 satellite): one JSON array with a
 // single ungated "meta" row for host/run metadata and stable-ordered,
 // fixed-format result rows that hold their prior on-disk values when the
@@ -14,7 +15,9 @@
 //   kernel_regression               full sweep, verbose table
 //   kernel_regression --check      quick sweep + regression gate: every SIMD
 //                                  kernel must be no slower than scalar
-//                                  within a generous noise margin (ctest
+//                                  within a generous noise margin, and AVX2
+//                                  linear_sbi must be >= 1.2x AVX2
+//                                  linear_blocked at m16 and m64 (ctest
 //                                  label `perf`); exit 1 on regression.
 //   kernel_regression --json PATH  override the output path.
 #include <algorithm>
@@ -215,10 +218,10 @@ int main(int argc, char** argv) {
   // GPT-2.7B width (Fig. 6 middle model): hidden 2560, ffn 4x, 32 heads.
   const std::int64_t H = 2560;
   Rng rng(7);
-  std::vector<float> x(static_cast<std::size_t>(16) * 3 * H);
+  std::vector<float> x(static_cast<std::size_t>(64) * H);
   std::vector<float> w(static_cast<std::size_t>(3 * H) * H);
   std::vector<float> bias(static_cast<std::size_t>(3 * H));
-  std::vector<float> y(static_cast<std::size_t>(16) * 3 * H);
+  std::vector<float> y(static_cast<std::size_t>(64) * H);
   rng.fill_normal(x);
   rng.fill_normal(w, 0.0f, 0.02f);
   rng.fill_normal(bias);
@@ -244,8 +247,9 @@ int main(int argc, char** argv) {
            std::move(run));
   };
 
-  // Decode-shape GeMMs (acceptance: SBI >= 2x scalar at m<=4 on AVX2).
-  for (std::int64_t m : {std::int64_t{1}, std::int64_t{4}}) {
+  // Decode-shape GeMMs (acceptance: SBI >= 2x scalar at m<=4 on AVX2) and
+  // the multi-row steps of batched decode and prefill chunks (m 8..64).
+  for (std::int64_t m : {1, 4, 8, 16, 64}) {
     add_linear("linear_sbi", m, H, H,
                [&, m] { linear_sbi(x, packed_sq, bias, y, m); });
   }
@@ -255,7 +259,7 @@ int main(int argc, char** argv) {
              [&] { linear_sbi_split(x, packed_small, bias, y, 1, 8); });
   add_linear("linear_ref", 1, H, H,
              [&] { linear_ref(x, w, bias, y, 1, H, H); });
-  for (std::int64_t m : {std::int64_t{1}, std::int64_t{16}}) {
+  for (std::int64_t m : {1, 16, 64}) {
     add_linear("linear_blocked", m, H, H,
                [&, m] { linear_blocked(x, w, bias, y, m, H, H); });
   }
@@ -337,10 +341,36 @@ int main(int argc, char** argv) {
       }
     }
   }
+
+  // SBI gate: on AVX2 the small-batch kernel must beat the cache-blocked
+  // one at the multi-row shapes it exists for, measured in the same run.
+  // On a 2.1 GHz AVX2 Xeon the 6x16 register tile reads 3.3-3.8x; a 4x8
+  // tile whose accumulators spilled to the stack read 0.85-0.94x.
+  int sbi_failures = 0;
+  std::printf("\n%-24s %16s\n", "shape", "sbi/blocked avx2");
+  for (const char* shape : {"m16_in2560_out2560", "m64_in2560_out2560"}) {
+    const Entry* sbi = nullptr;
+    const Entry* blocked = nullptr;
+    for (const Entry& e : entries) {
+      if (e.isa != "avx2" || e.shape != shape) continue;
+      if (e.kernel == "linear_sbi") sbi = &e;
+      if (e.kernel == "linear_blocked") blocked = &e;
+    }
+    if (sbi == nullptr || blocked == nullptr) continue;
+    const double ratio = blocked->ms / sbi->ms;
+    const bool ok = ratio >= 1.2;
+    std::printf("%-24s %15.2fx%s\n", shape, ratio,
+                ok ? "" : "  BELOW 1.2x");
+    if (!ok) ++sbi_failures;
+  }
   if (check && failures > 0) {
     std::fprintf(stderr, "kernel_regression: %d SIMD kernel(s) slower than "
                          "scalar beyond noise\n", failures);
-    return 1;
   }
-  return 0;
+  if (check && sbi_failures > 0) {
+    std::fprintf(stderr, "kernel_regression: linear_sbi below 1.2x "
+                         "linear_blocked (AVX2) at %d multi-row shape(s)\n",
+                 sbi_failures);
+  }
+  return check && (failures > 0 || sbi_failures > 0) ? 1 : 0;
 }

@@ -119,8 +119,8 @@ std::span<const float> PackedWeight::panel(std::int64_t panel_idx) const {
 }
 
 static_assert(PackedWeight::kPanelOut == 8,
-              "SBI panels feed simd::fma_tile8: 8 output lanes per panel is "
-              "one 32-byte half cache line of FP32");
+              "SBI panels feed simd::fma_tile8/fma_tile16: 8 output lanes per "
+              "panel is one 32-byte half cache line of FP32");
 
 void linear_sbi(std::span<const float> x, const PackedWeight& w,
                 std::span<const float> bias, std::span<float> y,
@@ -131,35 +131,48 @@ void linear_sbi(std::span<const float> x, const PackedWeight& w,
                     y.size(), m, in, out);
   constexpr std::int64_t kP = PackedWeight::kPanelOut;
 
-  auto run_panel = [&](std::int64_t p) {
-    const float* panel = w.panel(p).data();
+  // One work item is one panel at m == 1 and a pair of panels otherwise.
+  // m == 1 (decode) streams each panel once through fma_tile8's 4-chain
+  // row kernel. m >= 2 takes the panels two at a time through fma_tile16:
+  // up to 6 rows x 16 outputs per streaming pass, the 6-row tiles
+  // re-reading the pair from cache. Every output is then one sequential FMA
+  // chain over the input index, whatever m is.
+  const std::int64_t item_panels = m == 1 ? 1 : 2;
+  auto run_item = [&](std::int64_t t) {
+    const std::int64_t p = t * item_panels;
+    const std::int64_t np = std::min(item_panels, w.num_panels() - p);
     const std::int64_t o_begin = p * kP;
-    const std::int64_t o_count = std::min<std::int64_t>(kP, out - o_begin);
-    for (std::int64_t r0 = 0; r0 < m; r0 += simd::kTileRows) {
-      const std::int64_t mm = std::min<std::int64_t>(simd::kTileRows, m - r0);
-      // One streaming pass over the panel: each step consumes kP contiguous
-      // weights against one activation — an 8-wide FMA per register-tile row.
-      float acc[simd::kTileRows * kP] = {};
-      simd::fma_tile8(x.data() + r0 * in, in, mm, panel, in, acc);
+    const std::int64_t o_count = std::min(np * kP, out - o_begin);
+    const std::int64_t row_step = m == 1 ? 1 : simd::kWideTileRows;
+    const std::int64_t acc_ld = m == 1 ? kP : 2 * kP;
+    for (std::int64_t r0 = 0; r0 < m; r0 += row_step) {
+      const std::int64_t mm = std::min(row_step, m - r0);
+      float acc[simd::kWideTileRows * 2 * kP];
+      std::fill_n(acc, mm * acc_ld, 0.0f);
+      if (m == 1) {
+        simd::fma_tile8(x.data(), in, 1, w.panel(p).data(), in, acc);
+      } else {
+        simd::fma_tile16(x.data() + r0 * in, in, mm, w.panel(p).data(),
+                         np == 2 ? w.panel(p + 1).data() : nullptr, in, acc);
+      }
       for (std::int64_t rr = 0; rr < mm; ++rr) {
-        float* yr = y.data() + (r0 + rr) * out;
-        const float* ar = acc + rr * kP;
+        float* yr = y.data() + (r0 + rr) * out + o_begin;
+        const float* ar = acc + rr * acc_ld;
         for (std::int64_t j = 0; j < o_count; ++j) {
-          yr[o_begin + j] = ar[j] + (bias.empty() ? 0.0f : bias[o_begin + j]);
+          yr[j] = ar[j] + (bias.empty() ? 0.0f : bias[o_begin + j]);
         }
       }
     }
   };
 
-  // Small output dims cannot create enough parallel tiles; split the input
-  // dimension instead (paper's two-kernel reduction) — here realized by
-  // letting each worker reduce a half and summing, falling back to a single
-  // streaming pass when out is large enough.
-  const std::int64_t num_panels = w.num_panels();
+  const std::int64_t items = (w.num_panels() + item_panels - 1) / item_panels;
   ThreadPool::global().parallel_for(
-      0, static_cast<std::size_t>(num_panels), grain_for(2 * m * kP * in),
-      [&](std::size_t pb, std::size_t pe) {
-        for (std::size_t p = pb; p < pe; ++p) run_panel(static_cast<std::int64_t>(p));
+      0, static_cast<std::size_t>(items),
+      grain_for(2 * m * item_panels * kP * in),
+      [&](std::size_t tb, std::size_t te) {
+        for (std::size_t t = tb; t < te; ++t) {
+          run_item(static_cast<std::int64_t>(t));
+        }
       });
 }
 

@@ -54,10 +54,12 @@ class PackedWeight {
   std::int64_t num_panels_ = 0;
 };
 
-// SBI-GeMM: optimized for m <= ~8. Uses PackedWeight panels; parallelizes
-// across output tiles via the global thread pool; splits the input dimension
-// in two reduction passes when `out` is too small to occupy all workers
-// (paper Sec. III.C.1, two-kernel variant).
+// SBI-GeMM: optimized for small m. Uses PackedWeight panels and
+// parallelizes across output panels via the global thread pool. m == 1
+// streams each panel once with a 4-chain decode kernel (simd::fma_tile8);
+// m >= 2 runs 6-row x 16-output register tiles over pairs of panels
+// (simd::fma_tile16), each output one sequential FMA chain over the input
+// index, so a row's result does not depend on the other rows of the call.
 void linear_sbi(std::span<const float> x, const PackedWeight& w,
                 std::span<const float> bias, std::span<float> y,
                 std::int64_t m);

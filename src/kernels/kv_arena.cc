@@ -175,6 +175,16 @@ bool KVArena::evict_lru() {
     }
   }
   if (!victim) return false;
+  // The host tier holds at most `pages_` entries: a spill that would exceed
+  // it first drops the coldest host-tier entry, in the same order. If that
+  // drop took the victim along (a descendant), its page is already free.
+  if (host_pages_ >= pages_) {
+    const std::uint64_t victim_key = victim->key;
+    drop_coldest_host_entry();
+    const auto it = cache_.find(victim_key);
+    if (it == cache_.end()) return true;
+    victim = &it->second;
+  }
   const auto p = static_cast<std::size_t>(victim->page);
   victim->host_k.resize(page_floats_);
   victim->host_v.resize(page_floats_);
@@ -189,22 +199,77 @@ bool KVArena::evict_lru() {
   page_ref_[p] = 0;
   page_free_.push_back(victim->page);
   victim->page = -1;
+  ++host_pages_;
   ++evictions_;
   return true;
 }
 
+void KVArena::drop_coldest_host_entry() {
+  // Host-tier entries are the evicted ones still holding their copy (an
+  // entry being re-fetched has moved its copy out and is not a candidate).
+  const PrefixEntry* coldest = nullptr;
+  for (const auto& [key, e] : cache_) {
+    if (e.page >= 0 || e.host_k.empty()) continue;
+    if (!coldest || e.last_use < coldest->last_use ||
+        (e.last_use == coldest->last_use && e.key < coldest->key)) {
+      coldest = &e;
+    }
+  }
+  if (!coldest) return;
+  for (auto [b, e] = children_.equal_range(coldest->parent); b != e; ++b) {
+    if (b->second == coldest->key) {
+      children_.erase(b);
+      break;
+    }
+  }
+  // The full-page walk cannot reach its descendants without it, so they go
+  // too: host copies are freed, resident pages lose the cache's reference.
+  // Freed pages enter the free list sorted, so every TP shard sees the same
+  // order whatever the hash maps' iteration order.
+  std::vector<std::uint64_t> doomed{coldest->key};
+  std::vector<std::int32_t> freed;
+  for (std::size_t i = 0; i < doomed.size(); ++i) {
+    const std::uint64_t key = doomed[i];
+    const auto it = cache_.find(key);
+    if (it == cache_.end()) continue;
+    const PrefixEntry& d = it->second;
+    if (d.page >= 0) {
+      const auto p = static_cast<std::size_t>(d.page);
+      page_owner_[p] = 0;
+      if (--page_ref_[p] == 0) freed.push_back(d.page);
+    } else if (!d.host_k.empty()) {
+      --host_pages_;
+    }
+    cache_.erase(it);
+    for (auto [b, e] = children_.equal_range(key); b != e; ++b) {
+      doomed.push_back(b->second);
+    }
+    children_.erase(key);
+  }
+  std::sort(freed.begin(), freed.end());
+  page_free_.insert(page_free_.end(), freed.begin(), freed.end());
+}
+
 bool KVArena::ensure_resident(PrefixEntry& e) {
   if (e.page >= 0) return true;
-  const std::int32_t p = alloc_page();  // may evict a colder entry, never e
-  if (p < 0) return false;
-  std::memcpy(k_.data() + static_cast<std::size_t>(p) * page_floats_,
-              e.host_k.data(), page_floats_ * sizeof(float));
-  std::memcpy(v_.data() + static_cast<std::size_t>(p) * page_floats_,
-              e.host_v.data(), page_floats_ * sizeof(float));
+  // Take the host copy out of the tier first, so that the eviction the
+  // allocation may trigger cannot drop `e` to make room.
+  std::vector<float> host_k = std::move(e.host_k);
+  std::vector<float> host_v = std::move(e.host_v);
   e.host_k.clear();
-  e.host_k.shrink_to_fit();
   e.host_v.clear();
-  e.host_v.shrink_to_fit();
+  --host_pages_;
+  const std::int32_t p = alloc_page();  // may evict a colder entry, never e
+  if (p < 0) {
+    e.host_k = std::move(host_k);
+    e.host_v = std::move(host_v);
+    ++host_pages_;
+    return false;
+  }
+  std::memcpy(k_.data() + static_cast<std::size_t>(p) * page_floats_,
+              host_k.data(), page_floats_ * sizeof(float));
+  std::memcpy(v_.data() + static_cast<std::size_t>(p) * page_floats_,
+              host_v.data(), page_floats_ * sizeof(float));
   const std::size_t bytes = 2 * page_floats_ * sizeof(float);
   spill_bytes_in_ += bytes;
   if (spill_sink_) spill_sink_(0, bytes);

@@ -19,8 +19,9 @@
 // tokens they cover (equal keys imply equal *full* preceding context, hence
 // bit-identical K/V), matched by later admissions (including a partial match
 // of the leading rows of a published page), CoW-split on the first divergent
-// append, and LRU-evicted to a host tier (spill bytes reported through
-// set_spill_sink, accounted by zero::ArenaOffloadLedger).
+// append, and LRU-evicted to a host tier of at most `pages` entries (spill
+// bytes reported through set_spill_sink, accounted by
+// zero::ArenaOffloadLedger; past the cap the coldest host entry is dropped).
 //
 // The 5-argument constructor degenerates to the pre-paging behavior exactly
 // (page_tokens == max_seq, pages == slots, cache off): one page per slot,
@@ -166,6 +167,11 @@ class KVArena {
   std::int64_t prefix_hit_tokens() const { return prefix_hit_tokens_; }
   std::int64_t cow_splits() const { return cow_splits_; }
   std::int64_t evictions() const { return evictions_; }
+  // Evicted prefix pages currently held in the host tier. Capped at
+  // total_pages(): a spill past the cap drops the coldest host-tier entry
+  // (the same (last_use, key) order eviction uses), forgetting its prefix
+  // and every cached page that extends it.
+  std::int64_t host_pages() const { return host_pages_; }
   std::int64_t refetches() const { return refetches_; }
   std::size_t spill_bytes_out() const { return spill_bytes_out_; }
   std::size_t spill_bytes_in() const { return spill_bytes_in_; }
@@ -249,6 +255,9 @@ class KVArena {
   std::int32_t alloc_page();
   void unref_page(std::int32_t page);
   bool evict_lru();
+  // Erases the coldest host-tier entry and its cached descendants from the
+  // cache and children_.
+  void drop_coldest_host_entry();
   bool ensure_resident(PrefixEntry& e);
   void cow_split(std::int64_t slot, std::size_t chain_idx);
   // Faults in / CoW-protects the pages covering rows [len, len+tokens).
@@ -285,6 +294,7 @@ class KVArena {
   std::int64_t prefix_hit_tokens_ = 0;
   std::int64_t cow_splits_ = 0;
   std::int64_t evictions_ = 0;
+  std::int64_t host_pages_ = 0;
   std::int64_t refetches_ = 0;
   std::size_t spill_bytes_out_ = 0;
   std::size_t spill_bytes_in_ = 0;

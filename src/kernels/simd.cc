@@ -129,16 +129,29 @@ void gelu_bias_scalar(const float* x, const float* bias, float* y,
   }
 }
 
-void fma_tile8_scalar(const float* x, std::int64_t ldx, std::int64_t m,
-                      const float* panel, std::int64_t n, float* acc) {
+// The multi-row tile twin: acc rows are ldacc floats apart; panel1 == nullptr
+// covers 8 lanes. fma_tile8 (ldacc 8) and fma_tile16 (ldacc 16) share it.
+void fma_tile_scalar(const float* x, std::int64_t ldx, std::int64_t m,
+                     const float* panel0, const float* panel1, std::int64_t n,
+                     float* acc, std::int64_t ldacc) {
+  const std::int64_t lanes = panel1 ? 16 : 8;
   for (std::int64_t r = 0; r < m; ++r) {
     const float* xr = x + r * ldx;
-    float* ar = acc + r * 8;
+    // Local accumulators: the compiler cannot prove that acc aliases
+    // neither x nor the panels, so it would reload and store acc on every
+    // input index.
+    float a[16];
+    for (std::int64_t j = 0; j < lanes; ++j) a[j] = acc[r * ldacc + j];
     for (std::int64_t i = 0; i < n; ++i) {
       const float xv = xr[i];
-      const float* wrow = panel + i * 8;
-      for (std::int64_t j = 0; j < 8; ++j) ar[j] += xv * wrow[j];
+      const float* w0 = panel0 + i * 8;
+      for (std::int64_t j = 0; j < 8; ++j) a[j] += xv * w0[j];
+      if (panel1) {
+        const float* w1 = panel1 + i * 8;
+        for (std::int64_t j = 0; j < 8; ++j) a[8 + j] += xv * w1[j];
+      }
     }
+    for (std::int64_t j = 0; j < lanes; ++j) acc[r * ldacc + j] = a[j];
   }
 }
 
@@ -447,37 +460,65 @@ DSINFER_AVX2 void fma_tile8_m1_avx2(const float* x, const float* panel,
                                       _mm256_add_ps(a2, a3)));
 }
 
-template <int M>
-DSINFER_AVX2 void fma_tile8_m_avx2(const float* x, std::int64_t ldx,
-                                   const float* panel, std::int64_t n,
-                                   float* acc) {
-  __m256 a[M];
-  for (int r = 0; r < M; ++r) a[r] = _mm256_loadu_ps(acc + r * 8);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const __m256 wv = _mm256_loadu_ps(panel + i * 8);
-    for (int r = 0; r < M; ++r) {
-      a[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(x + r * ldx + i), wv, a[r]);
+// The multi-row tile: M rows x NP panels of accumulators stay in registers
+// (the unroll pragmas make GCC scalarize the arrays; without them -O2 keeps
+// them on the stack and every FMA round-trips through memory). Per input
+// index: NP panel loads, M broadcasts, M*NP FMAs, each accumulator one
+// sequential chain. acc rows are ldacc floats apart: fma_tile8 runs it with
+// NP = 1 and ldacc 8, fma_tile16 with ldacc 16.
+template <int M, int NP>
+DSINFER_AVX2 void fma_tile_m_avx2(const float* x, std::int64_t ldx,
+                                  const float* panel0, const float* panel1,
+                                  std::int64_t n, float* acc,
+                                  std::int64_t ldacc) {
+  const float* xr[M];
+  __m256 a[M][NP];
+#pragma GCC unroll 6
+  for (int r = 0; r < M; ++r) {
+    xr[r] = x + r * ldx;
+#pragma GCC unroll 2
+    for (int q = 0; q < NP; ++q) {
+      a[r][q] = _mm256_loadu_ps(acc + r * ldacc + q * 8);
     }
   }
-  for (int r = 0; r < M; ++r) _mm256_storeu_ps(acc + r * 8, a[r]);
+  for (std::int64_t i = 0; i < n; ++i) {
+    __m256 w[NP];
+    w[0] = _mm256_loadu_ps(panel0 + i * 8);
+    if constexpr (NP == 2) w[1] = _mm256_loadu_ps(panel1 + i * 8);
+#pragma GCC unroll 6
+    for (int r = 0; r < M; ++r) {
+      const __m256 xv = _mm256_broadcast_ss(xr[r] + i);
+#pragma GCC unroll 2
+      for (int q = 0; q < NP; ++q) a[r][q] = _mm256_fmadd_ps(xv, w[q], a[r][q]);
+    }
+  }
+#pragma GCC unroll 6
+  for (int r = 0; r < M; ++r) {
+#pragma GCC unroll 2
+    for (int q = 0; q < NP; ++q) {
+      _mm256_storeu_ps(acc + r * ldacc + q * 8, a[r][q]);
+    }
+  }
 }
 
-DSINFER_AVX2 void fma_tile8_avx2(const float* x, std::int64_t ldx,
-                                 std::int64_t m, const float* panel,
-                                 std::int64_t n, float* acc) {
+template <int NP>
+DSINFER_AVX2 void fma_tile_avx2(const float* x, std::int64_t ldx,
+                                std::int64_t m, const float* panel0,
+                                const float* panel1, std::int64_t n,
+                                float* acc, std::int64_t ldacc) {
   switch (m) {
     case 1:
-      fma_tile8_m1_avx2(x, panel, n, acc);
-      break;
+      return fma_tile_m_avx2<1, NP>(x, ldx, panel0, panel1, n, acc, ldacc);
     case 2:
-      fma_tile8_m_avx2<2>(x, ldx, panel, n, acc);
-      break;
+      return fma_tile_m_avx2<2, NP>(x, ldx, panel0, panel1, n, acc, ldacc);
     case 3:
-      fma_tile8_m_avx2<3>(x, ldx, panel, n, acc);
-      break;
+      return fma_tile_m_avx2<3, NP>(x, ldx, panel0, panel1, n, acc, ldacc);
+    case 4:
+      return fma_tile_m_avx2<4, NP>(x, ldx, panel0, panel1, n, acc, ldacc);
+    case 5:
+      return fma_tile_m_avx2<5, NP>(x, ldx, panel0, panel1, n, acc, ldacc);
     default:
-      fma_tile8_m_avx2<4>(x, ldx, panel, n, acc);
-      break;
+      return fma_tile_m_avx2<6, NP>(x, ldx, panel0, panel1, n, acc, ldacc);
   }
 }
 
@@ -648,9 +689,24 @@ void gelu_bias(const float* x, const float* bias, float* y, std::int64_t n) {
 void fma_tile8(const float* x, std::int64_t ldx, std::int64_t m,
                const float* panel, std::int64_t n, float* acc) {
 #if defined(DSINFER_SIMD_X86)
-  if (use_avx2()) return fma_tile8_avx2(x, ldx, m, panel, n, acc);
+  if (use_avx2()) {
+    return m == 1 ? fma_tile8_m1_avx2(x, panel, n, acc)
+                  : fma_tile_avx2<1>(x, ldx, m, panel, nullptr, n, acc, 8);
+  }
 #endif
-  fma_tile8_scalar(x, ldx, m, panel, n, acc);
+  fma_tile_scalar(x, ldx, m, panel, nullptr, n, acc, 8);
+}
+
+void fma_tile16(const float* x, std::int64_t ldx, std::int64_t m,
+                const float* panel0, const float* panel1, std::int64_t n,
+                float* acc) {
+#if defined(DSINFER_SIMD_X86)
+  if (use_avx2()) {
+    return panel1 ? fma_tile_avx2<2>(x, ldx, m, panel0, panel1, n, acc, 16)
+                  : fma_tile_avx2<1>(x, ldx, m, panel0, panel1, n, acc, 16);
+  }
+#endif
+  fma_tile_scalar(x, ldx, m, panel0, panel1, n, acc, 16);
 }
 
 std::int32_t dot_i8(const std::int8_t* a, const std::int8_t* b,

@@ -93,10 +93,14 @@ float exp_sum_inplace(float* x, std::int64_t n, float bias);
 // a few ULP, so fused/unfused parity tolerances down to ~1e-6 hold.
 void gelu_bias(const float* x, const float* bias, float* y, std::int64_t n);
 
-// ---- Register-blocked tile kernel (SBI-GeMM inner loop) ----------------
+// ---- Register-blocked tile kernels (SBI-GeMM inner loops) --------------
 
-// Max rows an fma_tile8 call may cover (accumulators stay in registers:
-// 4 rows x 8 lanes = 4 ymm accumulators on AVX2).
+// Max rows an fma_tile8 call may cover. fma_tile8 is the m == 1 decode
+// kernel of linear_sbi (one row, its input index unrolled 4x into
+// independent accumulator chains) and the inner loop of linear_sbi_split.
+// At m >= 2 it runs fma_tile16's register tile on one panel, so its rows
+// are the same sequential FMA chains; every multi-row linear_sbi step
+// calls fma_tile16 directly.
 inline constexpr std::int64_t kTileRows = 4;
 
 // acc[r*8 + j] += sum_{i<n} x[r*ldx + i] * panel[i*8 + j]  for r < m.
@@ -107,6 +111,23 @@ inline constexpr std::int64_t kTileRows = 4;
 // per row. Requires 1 <= m <= kTileRows; acc is row-major [m, 8].
 void fma_tile8(const float* x, std::int64_t ldx, std::int64_t m,
                const float* panel, std::int64_t n, float* acc);
+
+// Max rows an fma_tile16 call may cover: 6 rows x 2 panels = 12 ymm
+// accumulators on AVX2, plus 2 panel registers and 1 broadcast.
+inline constexpr std::int64_t kWideTileRows = 6;
+
+// acc[r*16 + q*8 + j] += sum_{i<n} x[r*ldx + i] * panel_q[i*8 + j]
+//   for r < m, q < (panel1 ? 2 : 1), with panel_0 = panel0, panel_1 = panel1.
+//
+// Two interleaved panels (16 outputs) per pass: each input index costs 2
+// panel loads and m broadcasts for 2m FMAs. Every output is one sequential
+// FMA chain over i (no reassociation), so on AVX2 it equals a std::fmaf
+// chain starting from acc, and a row's result does not depend on which
+// other rows share the call. Requires 1 <= m <= kWideTileRows; acc is
+// row-major [m, 16] (lanes 8..15 untouched when panel1 is nullptr).
+void fma_tile16(const float* x, std::int64_t ldx, std::int64_t m,
+                const float* panel0, const float* panel1, std::int64_t n,
+                float* acc);
 
 // ---- INT8 vocabulary ---------------------------------------------------
 

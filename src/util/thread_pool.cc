@@ -1,13 +1,35 @@
 #include "util/thread_pool.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 
 namespace dsinfer {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
+namespace {
+
+// CPUs the calling thread may run on: a process pinned with taskset or
+// sched_setaffinity gets one worker per allowed CPU rather than one per CPU
+// in the machine. Falls back to hardware_concurrency() when the mask cannot
+// be read.
+std::size_t allowed_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<std::size_t>(n);
   }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+}  // namespace
+
+ThreadPool::ThreadPool(std::size_t threads) {
+  if (threads == 0) threads = allowed_cpus();
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

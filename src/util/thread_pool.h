@@ -18,7 +18,8 @@ namespace dsinfer {
 
 class ThreadPool {
  public:
-  // `threads == 0` selects hardware concurrency (min 1).
+  // `threads == 0` selects one worker per CPU in the calling thread's
+  // affinity mask (min 1).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -43,7 +44,8 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
-  // Process-wide pool sized to the machine; used by kernels by default.
+  // Process-wide pool sized to the CPUs the first caller may run on; used by
+  // kernels by default.
   static ThreadPool& global();
 
  private:

@@ -248,6 +248,136 @@ TEST(KvPaging, LruEvictionSpillsToHostAndRefetchesIntact) {
   }
 }
 
+TEST(KvPaging, HostTierIsCappedAtPoolPagesAndStaysMirrored) {
+  // Many more unique 2-page prompts than pool pages: every publish pushes
+  // older prefix pages to the host tier. The tier holds at most `pages`
+  // entries, dropping the coldest with its descendants; the most recent
+  // spills still re-fetch intact, and two arenas driven identically (TP
+  // shards) drop the same entries.
+  constexpr std::int64_t kPages = 4;
+  constexpr int kPrompts = 40;
+  auto a = paged(/*slots=*/2, kPages, /*prefix=*/true);
+  auto b = paged(/*slots=*/2, kPages, /*prefix=*/true);
+  std::vector<std::vector<std::int32_t>> prompts;
+  std::vector<float> k_gold, v_gold;
+  for (int n = 0; n < kPrompts; ++n) {
+    std::vector<std::int32_t> prompt(2 * kPt + 1);
+    std::iota(prompt.begin(), prompt.end(), 1000 * (n + 1));
+    const auto kv = block(static_cast<std::int64_t>(prompt.size()),
+                          static_cast<std::uint32_t>(100 + n));
+    for (KVArena* arena : {&a, &b}) {
+      const auto s = arena->acquire();
+      append_all_layers(*arena, s, kv, kv,
+                        static_cast<std::int64_t>(prompt.size()));
+      EXPECT_EQ(arena->publish_prefix(s, prompt), 2);
+      if (arena == &a && n + 1 == kPrompts) {
+        ASSERT_EQ(arena->export_slot(s, k_gold, v_gold), 2 * kPt + 1);
+      }
+      arena->release(s);
+      EXPECT_LE(arena->host_pages(), kPages) << "after prompt " << n;
+    }
+    EXPECT_EQ(a.layout_fingerprint(), b.layout_fingerprint());
+    EXPECT_EQ(a.host_pages(), b.host_pages());
+    prompts.push_back(std::move(prompt));
+    // Every cached page stays reachable: dropping a chain's root (its
+    // coldest page) drops the rest of the chain with it, so no orphaned
+    // child holds a host-tier or pool page that no match can reach.
+    std::int64_t reachable = 0;
+    for (const auto& p : prompts) reachable += a.cached_prefix_tokens(p) / kPt;
+    EXPECT_EQ(reachable, a.host_pages() + a.evictable_pages())
+        << "after prompt " << n;
+  }
+  EXPECT_GT(a.evictions(), 2 * kPages);
+  // The oldest prompts were dropped from the cache altogether.
+  EXPECT_EQ(a.cached_prefix_tokens(prompts.front()), 0);
+  EXPECT_EQ(b.cached_prefix_tokens(prompts.front()), 0);
+
+  // Spill the last prompt's two pages with a private full-length sequence,
+  // then match it back: both pages come in from the host tier.
+  const auto kv_burn = block(kMaxSeq, 7);
+  for (KVArena* arena : {&a, &b}) {
+    const auto s = arena->acquire();
+    append_all_layers(*arena, s, kv_burn, kv_burn, kMaxSeq);
+    arena->release(s);
+    EXPECT_LE(arena->host_pages(), kPages);
+  }
+  EXPECT_EQ(a.evictable_pages(), 0);
+  const auto refetched = a.refetches();
+  const auto s = a.acquire();
+  EXPECT_EQ(a.match_prefix(s, prompts.back()), 2 * kPt);
+  EXPECT_EQ(a.refetches(), refetched + 2);
+  const auto kv1 = block(1, 99);
+  append_all_layers(a, s, kv1, kv1, 1);
+  std::vector<float> k_out, v_out;
+  ASSERT_EQ(a.export_slot(s, k_out, v_out), 2 * kPt + 1);
+  // Per (layer, head) strip of 2*kPt+1 rows: the first 2*kPt are the
+  // re-fetched pages and must be bit-identical to what was published.
+  const std::int64_t strip = (2 * kPt + 1) * kHd;
+  for (std::int64_t lh = 0; lh < kLayers * kHeads; ++lh) {
+    for (std::int64_t i = 0; i < 2 * kPt * kHd; ++i) {
+      const auto at = static_cast<std::size_t>(lh * strip + i);
+      EXPECT_EQ(k_out[at], k_gold[at]);
+      EXPECT_EQ(v_out[at], v_gold[at]);
+    }
+  }
+  const auto t = b.acquire();
+  EXPECT_EQ(b.match_prefix(t, prompts.back()), 2 * kPt);
+  append_all_layers(b, t, kv1, kv1, 1);
+  EXPECT_EQ(a.layout_fingerprint(), b.layout_fingerprint());
+}
+
+TEST(KvPaging, DroppedHostEntryTakesItsResidentChildAlong) {
+  // A chain root can reach the host tier while its child stays resident:
+  // the child was published by a slot that prefilled the root's tokens
+  // into its own page, so that slot pins the child but not the root. When
+  // the full tier then drops the root, the child, unreachable without it,
+  // goes too; here it is also the page the spill was about to evict.
+  constexpr std::int64_t kPages = 8;
+  auto a = paged(/*slots=*/3, kPages, /*prefix=*/true);
+  std::vector<std::int32_t> prompt_p(kPt + 1);
+  std::iota(prompt_p.begin(), prompt_p.end(), 1);
+  std::vector<std::int32_t> prompt_q(prompt_p.begin(), prompt_p.begin() + kPt);
+  for (std::int32_t t = 101; t <= 100 + kPt + 1; ++t) prompt_q.push_back(t);
+  const auto s0 = a.acquire();
+  const auto kv_p = block(kPt + 1, 20);
+  append_all_layers(a, s0, kv_p, kv_p, kPt + 1);
+  EXPECT_EQ(a.publish_prefix(s0, prompt_p), 1);  // root R
+  const auto s1 = a.acquire();
+  const auto kv_q = block(2 * kPt + 1, 21);
+  append_all_layers(a, s1, kv_q, kv_q, 2 * kPt + 1);
+  EXPECT_EQ(a.publish_prefix(s1, prompt_q), 1);  // R refreshed, child C new
+  a.release(s0);  // R is cache-only now; s1 still pins C
+  // Unique one-page prompts: the first three fit, then each spills the
+  // coldest cache-only page (R first) until the tier holds kPages entries.
+  std::vector<std::vector<std::int32_t>> prompts{prompt_p, prompt_q};
+  for (int n = 0; a.host_pages() < kPages; ++n) {
+    ASSERT_LT(n, 64);
+    std::vector<std::int32_t> prompt(kPt + 1);
+    std::iota(prompt.begin(), prompt.end(), 1000 * (n + 1));
+    const auto kv = block(kPt + 1, static_cast<std::uint32_t>(30 + n));
+    const auto s = a.acquire();
+    append_all_layers(a, s, kv, kv, kPt + 1);
+    EXPECT_EQ(a.publish_prefix(s, prompt), 1);
+    a.release(s);
+    prompts.push_back(std::move(prompt));
+  }
+  EXPECT_EQ(a.cached_prefix_tokens(prompt_q), 2 * kPt);  // R on host, C resident
+  a.release(s1);  // C is now the coldest cache-only page
+  const auto evictions = a.evictions();
+  const auto s = a.acquire();
+  const auto kv_burn = block(kMaxSeq, 22);
+  append_all_layers(a, s, kv_burn, kv_burn, kMaxSeq);
+  // The spill that picked C dropped R with C: C's page was reused without
+  // a copy, and neither prefix is cached any more.
+  EXPECT_EQ(a.evictions(), evictions);
+  EXPECT_EQ(a.host_pages(), kPages - 1);
+  EXPECT_EQ(a.cached_prefix_tokens(prompt_p), 0);
+  EXPECT_EQ(a.cached_prefix_tokens(prompt_q), 0);
+  std::int64_t reachable = 0;
+  for (const auto& p : prompts) reachable += a.cached_prefix_tokens(p) / kPt;
+  EXPECT_EQ(reachable, a.host_pages() + a.evictable_pages());
+}
+
 TEST(KvPaging, RewindAfterFaultTrimsPagesAndReappendReproduces) {
   auto a = paged(/*slots=*/2, /*pages=*/8);
   const auto s = a.acquire();

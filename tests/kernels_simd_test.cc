@@ -1,6 +1,7 @@
 // SIMD-vs-scalar parity for the micro-kernel vocabulary and every kernel
 // rewritten on top of it, at deliberately awkward shapes: lengths that are
-// not multiples of the 8-wide vector, tail panels, m=1 decode, empty bias.
+// not multiples of the 8-wide vector, tail panels, m=1 decode, empty bias,
+// and the bitwise FMA-chain contract of the multi-row SBI tile.
 //
 // The same source also builds as kernels_simd_scalar_test against the
 // scalar-only kernel library (DSINFER_SIMD_SCALAR_ONLY), where
@@ -202,6 +203,61 @@ TEST(SimdVocabulary, FmaTile8ParityAllRowCounts) {
   }
 }
 
+// A std::fmaf chain over i starting from `init`: the numerics fma_tile16
+// promises on AVX2 for every output lane.
+float fmaf_chain(const float* x, const float* w, std::int64_t wstride,
+                 std::int64_t n, float init) {
+  float acc = init;
+  for (std::int64_t i = 0; i < n; ++i) acc = std::fmaf(x[i], w[i * wstride], acc);
+  return acc;
+}
+
+TEST(SimdVocabulary, FmaTile16ParityRowsAndPanels) {
+  Rng rng(14);
+  for (std::int64_t n : kAwkwardLens) {
+    for (std::int64_t m = 1; m <= simd::kWideTileRows; ++m) {
+      for (int np : {1, 2}) {
+        const std::int64_t ldx = n + 3;  // non-contiguous rows
+        auto x = random_vec(rng, static_cast<std::size_t>(m * ldx));
+        auto p0 = random_vec(rng, static_cast<std::size_t>(n * 8));
+        auto p1 = random_vec(rng, static_cast<std::size_t>(n * 8));
+        const float* panel1 = np == 2 ? p1.data() : nullptr;
+        std::vector<float> acc0(static_cast<std::size_t>(m * 16), 0.5f);
+        auto acc1 = acc0;
+        {
+          simd::IsaOverrideGuard g(simd::KernelIsa::kScalar);
+          simd::fma_tile16(x.data(), ldx, m, p0.data(), panel1, n,
+                           acc0.data());
+        }
+        {
+          simd::IsaOverrideGuard g(simd::KernelIsa::kAvx2);
+          simd::fma_tile16(x.data(), ldx, m, p0.data(), panel1, n,
+                           acc1.data());
+        }
+        expect_close(acc1, acc0, 1e-5f, 1e-5f);
+        for (std::int64_t r = 0; r < m; ++r) {
+          for (std::int64_t j = 8 * np; j < 16; ++j) {  // untouched lanes
+            EXPECT_EQ(acc0[static_cast<std::size_t>(r * 16 + j)], 0.5f);
+            EXPECT_EQ(acc1[static_cast<std::size_t>(r * 16 + j)], 0.5f);
+          }
+        }
+        if (!simd::cpu_has_avx2()) continue;
+        for (std::int64_t r = 0; r < m; ++r) {
+          for (std::int64_t j = 0; j < 8 * np; ++j) {
+            const float* panel = j < 8 ? p0.data() : p1.data();
+            const float want = fmaf_chain(x.data() + r * ldx, panel + j % 8,
+                                          8, n, 0.5f);
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(
+                          acc1[static_cast<std::size_t>(r * 16 + j)]),
+                      std::bit_cast<std::uint32_t>(want))
+                << "n=" << n << " m=" << m << " r=" << r << " j=" << j;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdVocabulary, Int8DotAndQuantizeBitwiseParity) {
   Rng rng(5);
   for (std::int64_t n : kAwkwardLens) {
@@ -239,7 +295,8 @@ struct LinearShapes {
 // in/out not multiples of 8 (tail panel + tail vector), m=1 decode, and a
 // multi-tile row count.
 const LinearShapes kLinearShapes[] = {
-    {1, 100, 36}, {3, 37, 13}, {1, 8, 8}, {6, 257, 64}, {2, 64, 7},
+    {1, 100, 36}, {3, 37, 13}, {1, 8, 8},    {6, 257, 64},
+    {2, 64, 7},   {7, 100, 36}, {13, 37, 13}, {32, 257, 24},
 };
 
 template <typename Fn>
@@ -282,6 +339,73 @@ TEST(SimdKernelParity, LinearFamily) {
       auto simd_y = run_all(simd::KernelIsa::kAvx2);
       for (std::size_t k = 0; k < scalar.size(); ++k) {
         expect_close(simd_y[k], scalar[k], 1e-5f, 1e-5f);
+      }
+    }
+  }
+}
+
+TEST(SimdKernelParity, LinearSbiMultiRowIsOneFmaChainPerOutput) {
+  // Every multi-row linear_sbi output is one sequential FMA chain over the
+  // input index: on AVX2 it equals a std::fmaf chain from 0 plus the bias,
+  // bitwise, and on every path a row's result does not depend on the other
+  // rows of the call. m covers 1..2 full 6-row tiles with every remainder,
+  // out covers odd panel counts, a tail panel and out < 8.
+  Rng rng(15);
+  std::vector<std::int64_t> ms;
+  for (std::int64_t m = 2; m <= 13; ++m) ms.push_back(m);
+  ms.push_back(32);
+  ms.push_back(33);
+  for (std::int64_t out : {7, 8, 13, 16, 24, 36, 64}) {
+    for (std::int64_t in : {1, 8, 37, 257}) {
+      auto w = random_vec(rng, static_cast<std::size_t>(out * in), 0.1f);
+      auto bias = random_vec(rng, static_cast<std::size_t>(out));
+      PackedWeight packed(w, out, in);
+      for (std::int64_t m : ms) {
+        auto x = random_vec(rng, static_cast<std::size_t>(m * in));
+        for (bool with_bias : {true, false}) {
+          std::span<const float> b = with_bias ? std::span<const float>(bias)
+                                               : std::span<const float>();
+          for (simd::KernelIsa isa :
+               {simd::KernelIsa::kScalar, simd::KernelIsa::kAvx2}) {
+            simd::IsaOverrideGuard g(isa);
+            const bool avx2 = simd::active_isa() == simd::KernelIsa::kAvx2;
+            std::vector<float> y(static_cast<std::size_t>(m * out));
+            linear_sbi(x, packed, b, y, m);
+            std::vector<float> ref(y.size());
+            linear_ref(x, w, b, ref, m, in, out);
+            int chain_mismatches = 0, row_mismatches = 0;
+            for (std::int64_t r = 0; r < m; ++r) {
+              const float* xr = x.data() + r * in;
+              std::vector<float> x2(xr, xr + in);
+              x2.insert(x2.end(), xr, xr + in);
+              std::vector<float> y2(static_cast<std::size_t>(2 * out));
+              linear_sbi(x2, packed, b, y2, 2);
+              for (std::int64_t o = 0; o < out; ++o) {
+                const float got = y[static_cast<std::size_t>(r * out + o)];
+                if (std::bit_cast<std::uint32_t>(got) !=
+                    std::bit_cast<std::uint32_t>(
+                        y2[static_cast<std::size_t>(o)])) {
+                  ++row_mismatches;
+                }
+                if (avx2) {
+                  const float want =
+                      fmaf_chain(xr, w.data() + o * in, 1, in, 0.0f) +
+                      (with_bias ? bias[static_cast<std::size_t>(o)] : 0.0f);
+                  if (std::bit_cast<std::uint32_t>(got) !=
+                      std::bit_cast<std::uint32_t>(want)) {
+                    ++chain_mismatches;
+                  }
+                }
+              }
+            }
+            EXPECT_EQ(chain_mismatches, 0)
+                << "m=" << m << " in=" << in << " out=" << out;
+            EXPECT_EQ(row_mismatches, 0)
+                << simd::isa_name(simd::active_isa()) << " m=" << m
+                << " in=" << in << " out=" << out;
+            expect_close(y, ref, 1e-5f, 1e-5f);
+          }
+        }
       }
     }
   }

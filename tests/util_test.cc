@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <cstdint>
 #include <numeric>
@@ -96,6 +100,34 @@ TEST(ThreadPool, SubmitRunsTask) {
   pool.parallel_for(0, 1, [](std::size_t, std::size_t) {});
   for (int i = 0; i < 1000 && !ran; ++i) std::this_thread::yield();
   EXPECT_TRUE(ran.load());
+}
+
+TEST(ThreadPool, DefaultSizeFollowsTheAffinityMask) {
+  // A default pool built on a thread pinned to one CPU gets one worker, not
+  // one per CPU in the machine.
+#if defined(__linux__)
+  std::size_t size = 0;
+  bool pinned = false;
+  std::thread t([&] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) != 0) return;
+    int cpu = 0;
+    while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &set)) ++cpu;
+    if (cpu == CPU_SETSIZE) return;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    if (sched_setaffinity(0, sizeof set, &set) != 0) return;
+    pinned = true;
+    ThreadPool pool;
+    size = pool.size();
+  });
+  t.join();
+  if (!pinned) GTEST_SKIP() << "sched_setaffinity failed";
+  EXPECT_EQ(size, 1u);
+#else
+  GTEST_SKIP() << "affinity masks are read on Linux only";
+#endif
 }
 
 TEST(Rng, Deterministic) {
