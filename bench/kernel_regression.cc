@@ -19,6 +19,7 @@
 //                                  linear_sbi must be >= 1.2x AVX2
 //                                  linear_blocked at m16 and m64 (ctest
 //                                  label `perf`); exit 1 on regression.
+//                                  Writes no JSON.
 //   kernel_regression --json PATH  override the output path.
 #include <algorithm>
 #include <chrono>
@@ -172,7 +173,8 @@ void write_json(const char* path, const std::vector<Entry>& entries) {
                "  {\"mode\": \"meta\", \"bench\": \"kernel_regression\", "
                "\"avx2_available\": %s, \"threads\": %zu}%s\n",
                simd::cpu_has_avx2() ? "true" : "false",
-               ThreadPool::global().size() + 1,
+               // parallel_for's fan-out, the calling thread included.
+               std::max<std::size_t>(ThreadPool::global().size(), 1),
                entries.empty() ? "" : ",");
   std::size_t held = 0;
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -316,11 +318,13 @@ int main(int argc, char** argv) {
   std::printf("kernel_regression (%s mode, avx2 %savailable)\n",
               check ? "check" : "full", simd::cpu_has_avx2() ? "" : "un");
   std::vector<Entry> entries = fx.run_all();
-  write_json(json_path.c_str(), entries);
+  // Quick-sweep timings taken under test load must not overwrite the
+  // tracked file.
+  if (!check) write_json(json_path.c_str(), entries);
 
   if (!simd::cpu_has_avx2()) {
-    std::printf("no AVX2 path on this host/build; scalar-only JSON written, "
-                "regression gate skipped\n");
+    std::printf("no AVX2 path on this host/build; regression gate "
+                "skipped\n");
     return 0;
   }
 

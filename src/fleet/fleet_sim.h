@@ -1,20 +1,26 @@
-// DES twin of the fleet (ISSUE 6 satellite): the same router policies,
-// breaker state machine, hedging, failover, and backpressure as
-// fleet::FleetRouter — run as events on sim::Simulator over a *synthetic*
-// service model instead of real decoders. Mirroring is by construction, not
-// reimplementation: route_choose(), Breaker, FleetOptions, and the
-// virtual-service cost constants are shared with the functional router, so
-// the two goodput/latency curves must agree in shape (the cross-check test
-// asserts the saturation knee lands within one rate step).
+// DES twin of the fleet: the functional router's own event loop
+// (detail::run_fleet — routing, breakers, hedging, failover, backpressure,
+// attribution) run over *synthetic* replicas instead of real decoders.
+// There is one copy of the fleet protocol; only the replica differs. The synthetic replica implements ReplicaBase with remaining-token
+// counters, the chunked-prefill budget in arena slot order with the arena's
+// LIFO free list, the speculative-decode Bresenham advance, a half-capacity
+// batch lane at degraded_factor and the same refundable load ledger, and it
+// moves its clock exactly like Replica::process_one, priced by the same
+// core::IterationCost. With tracing on, a twin run emits the router's trace
+// instants and spans, like FleetRouter::run_trace.
 //
 // Differences from the functional fleet, by design:
 //   * No engines, no KV, no tokens: a served request's `tokens` is a
 //     placeholder of the right LENGTH (prompt + new_tokens zeros) so the
 //     shared accounting checker and summaries work; contents are meaningless.
+//     Every request fits (no kArenaPages sheds), no replica ever holds a
+//     prefix (prefix-affinity routes by hash alone), and sequences never stop
+//     early.
 //   * Engine-level fault injection (util::FaultInjector) is not modeled —
-//     only the scheduled ReplicaFault timeline (crash/stall/straggle).
-//   * Events live on sim::Simulator (obs::kSimPid clock domain); hedge
-//     timers use Simulator::cancel for first-wins cancellation.
+//     only the scheduled ReplicaFault timeline (crash/stall/straggle) — so
+//     the engine fault and retry counters stay 0.
+//   * No SLO watchdog, flight recorder or metrics feed: those stay with
+//     FleetRouter::run_trace.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +31,8 @@
 namespace dsinfer::fleet {
 
 // Simulates the trace through the fleet twin. Validates the spec like
-// FleetRouter (throws core::ConfigException on the first error).
+// FleetRouter (throws core::ConfigException on the first error); requests
+// are not validated.
 FleetResult simulate_fleet(const FleetSpec& spec,
                            const std::vector<core::TimedRequest>& requests,
                            std::vector<ReplicaFault> faults = {},

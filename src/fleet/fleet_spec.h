@@ -15,10 +15,9 @@
 //       .hedge(true, 20e-3).failover_budget(2);
 //   fleet::FleetRouter router(spec, /*seed=*/7);
 //
-// The routing vocabulary (RoutePolicy, route_choose, Breaker) lives here so
-// the functional router (fleet/router) and the DES twin (fleet/fleet_sim)
-// run the *same* policy and breaker logic over their different service
-// models — mirroring is by construction, not by parallel reimplementation.
+// The routing vocabulary (RoutePolicy, route_choose, Breaker) lives here;
+// the router's event loop (fleet/router) drives it, for the functional fleet
+// and the DES twin (fleet/fleet_sim) alike.
 #pragma once
 
 #include <cstdint>
@@ -115,7 +114,7 @@ class FleetSpec {
   FleetOptions opts_;
 };
 
-// ---- Routing vocabulary shared by the functional router and the DES twin.
+// ---- Routing vocabulary of the router's event loop.
 
 // What the chooser sees of one replica. `dispatchable` means the breaker
 // admits traffic (closed); `outstanding_s` is the replica's estimated queued
@@ -136,8 +135,7 @@ std::uint64_t prefix_hash(std::span<const std::int32_t> prompt,
 // Picks a replica per `policy` among dispatchable entries of `views`,
 // excluding `exclude` (pass -1 for none; used for hedges and failover).
 // Returns -1 when no replica is dispatchable. Deterministic given the RNG
-// state; every random draw flows through `rng` so functional and simulated
-// routers consume identical streams when stepped identically.
+// state; every random draw flows through `rng`.
 std::int64_t route_choose(RoutePolicy policy, const FleetOptions& opts,
                           std::span<const ReplicaLoadView> views,
                           std::uint64_t affinity_key, std::int64_t exclude,

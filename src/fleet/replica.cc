@@ -14,7 +14,7 @@ double request_estimate_s(const core::IterationCost& cost,
 }
 
 Replica::Replica(const FleetSpec& spec, std::int64_t id, std::uint64_t seed)
-    : id_(id), spec_(spec), site_("fleet.r" + std::to_string(id)),
+    : spec_(spec), site_("fleet.r" + std::to_string(id)),
       seed_(seed), engine_(spec.serve().engine(), seed),
       core_(
           engine_,
@@ -56,16 +56,7 @@ core::DecoderLane& Replica::lane_for(const core::TimedRequest& rq) {
 void Replica::enqueue(std::size_t ridx, const core::TimedRequest* rq) {
   core::DecoderLane& lane = lane_for(*rq);
   queue_of(lane).emplace_back(ridx, rq);
-  const double est = request_estimate_s(core_.cost(), *rq, lane.degraded);
-  ledger_[ridx] = est;
-  outstanding_s_ += est;
-}
-
-void Replica::refund(std::size_t ridx) {
-  const auto it = ledger_.find(ridx);
-  if (it == ledger_.end()) return;
-  outstanding_s_ = std::max(0.0, outstanding_s_ - it->second);
-  ledger_.erase(it);
+  book(ridx, request_estimate_s(core_.cost(), *rq, lane.degraded));
 }
 
 bool Replica::cancel(std::size_t ridx) {
@@ -105,18 +96,12 @@ std::vector<std::size_t> Replica::drain() {
       }
     }
   }
-  ledger_.clear();
-  outstanding_s_ = 0;
+  refund_all();
   return out;
 }
 
 bool Replica::has_work() const {
-  return queued() > 0 || active() > 0;
-}
-
-double Replica::ready_s() const {
-  if (crashed_ || !has_work()) return kNever;
-  return std::max(clock(), stall_until_);
+  return !queues_[0].empty() || !queues_[1].empty() || core_.active() > 0;
 }
 
 bool Replica::fits_request(const core::TimedRequest& rq) const {
@@ -129,10 +114,6 @@ bool Replica::holds_prefix(const core::TimedRequest& rq) const {
   return d.arena().prefix_cache_enabled() &&
          d.cached_prefix_tokens(rq.prompt) > 0;
 }
-
-void Replica::crash() { crashed_ = true; }
-
-void Replica::stall_until(double t) { stall_until_ = std::max(stall_until_, t); }
 
 void Replica::straggle(double factor, double until_s) {
   core_.slow_down(factor, until_s);

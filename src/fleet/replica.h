@@ -6,13 +6,15 @@
 // hedge timers on one fleet-wide virtual timeline.
 //
 // The lanes are a core::LaneCore, the core the continuous batcher runs on
-// too; the replica adds its router queues, the refundable load ledger behind
-// outstanding_s(), cancel/drain and the chaos controls, in an event-loop
-// shape: process_one() performs exactly one scheduling action — admit one
-// queued request, or run one decode iteration across the lanes — and
-// advances the replica clock by its virtual cost. The router always advances
-// the globally earliest replica, so replica timelines never run more than
-// one action ahead of the fleet clock.
+// too; the replica adds its router queues, cancel/drain and the straggle
+// control, in an event-loop shape: process_one() performs exactly one
+// scheduling action — admit one queued request, or run one decode iteration
+// across the lanes — and advances the replica clock by its virtual cost.
+// The router always advances the globally earliest replica, so replica
+// timelines never run more than one action ahead of the fleet clock. The
+// ReplicaBase it implements keeps the refundable load ledger behind
+// outstanding_s() and the crash/stall state; the DES twin implements the
+// same base over a synthetic lane model.
 //
 // Chaos surface: crash() freezes the replica forever (work is lost and must
 // fail over), stall_until() freezes it temporarily (probes fail, work
@@ -23,6 +25,7 @@
 // would have produced.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -37,6 +40,8 @@
 #include "obs/attribution.h"
 
 namespace dsinfer::fleet {
+
+inline constexpr double kNever = std::numeric_limits<double>::infinity();
 
 // One terminal event a replica reports back to the router.
 struct Completion {
@@ -55,41 +60,48 @@ struct Completion {
   obs::PhaseBreakdown phases;
 };
 
-class Replica {
+// The surface the fleet event loop (fleet/router.cc) drives: queues,
+// cancellation, one scheduling action at a time, the chaos controls and the
+// probes routing reads. Two implementations run under the same loop:
+// Replica below, a real serving box, and the DES twin's synthetic replica
+// (fleet/fleet_sim.cc). The base keeps what both share: the crash and stall
+// state, and the refundable load ledger behind outstanding_s().
+class ReplicaBase {
  public:
-  Replica(const FleetSpec& spec, std::int64_t id, std::uint64_t seed);
-  // The lane core's callbacks hold the replica's address.
-  Replica(const Replica&) = delete;
-  Replica& operator=(const Replica&) = delete;
-
-  std::int64_t id() const { return id_; }
+  ReplicaBase() = default;
+  // Held by pointer; Replica's lane-core callbacks hold its address.
+  ReplicaBase(const ReplicaBase&) = delete;
+  ReplicaBase& operator=(const ReplicaBase&) = delete;
+  virtual ~ReplicaBase() = default;
 
   // Queues a copy of request `ridx` for admission; the SLO class picks the
   // lane (batch -> INT8 half-capacity lane when enabled).
-  void enqueue(std::size_t ridx, const core::TimedRequest* rq);
+  virtual void enqueue(std::size_t ridx, const core::TimedRequest* rq) = 0;
 
   // Drops the copy of `ridx` (hedge lost / failover): erased from the lane
   // queue, or its slot retired mid-decode. Returns false if no copy exists.
-  bool cancel(std::size_t ridx);
+  virtual bool cancel(std::size_t ridx) = 0;
 
   // Cancels everything outstanding (queued + in-slot) and returns the
   // affected request indices — the failover sweep when the breaker opens.
-  std::vector<std::size_t> drain();
+  virtual std::vector<std::size_t> drain() = 0;
 
   // Earliest virtual time this replica can perform its next action:
   // +inf when crashed or idle, max(clock, stall end) otherwise.
-  double ready_s() const;
-  bool has_work() const;
+  double ready_s() const {
+    if (crashed_ || !has_work()) return kNever;
+    return std::max(clock(), stall_until_);
+  }
 
   // Performs one scheduling action no earlier than `now` (admit one request,
   // else one decode iteration over the lanes) and appends any terminal
   // events to `out`. Precondition: ready_s() <= now, not crashed.
-  void process_one(double now, std::vector<Completion>& out);
+  virtual void process_one(double now, std::vector<Completion>& out) = 0;
 
-  // ---- Chaos controls (router applies the ReplicaFault timeline). ----
-  void crash();
-  void stall_until(double t);
-  void straggle(double factor, double until_s);
+  // ---- Chaos controls (the router applies the ReplicaFault timeline). ----
+  void crash() { crashed_ = true; }
+  void stall_until(double t) { stall_until_ = std::max(stall_until_, t); }
+  virtual void straggle(double factor, double until_s) = 0;
 
   bool crashed() const { return crashed_; }
   // What a health probe at `now` observes: alive and not mid-stall.
@@ -97,36 +109,78 @@ class Replica {
     return !crashed_ && now >= stall_until_;
   }
 
-  // ISSUE 7 KV-page probes (primary-lane decoder; the batch lane's pool is
-  // at least as permissive for any request that fits the primary).
-  // Can this request's worst-case pages ever fit the pool? A false is a
-  // structural rejection the router sheds as kArenaPages.
-  bool fits_request(const core::TimedRequest& rq) const;
-  // Does the KV prefix cache already hold a prefix of `rq`'s prompt? Actual
-  // cache contents — the prefix-warm routing signal.
-  bool holds_prefix(const core::TimedRequest& rq) const;
+  // KV-page probes. Can this request's worst-case pages ever fit the pool?
+  // A false is a structural rejection the router sheds as kArenaPages. Does
+  // the KV prefix cache already hold a prefix of `rq`'s prompt (the
+  // prefix-warm routing signal)?
+  virtual bool fits_request(const core::TimedRequest& rq) const = 0;
+  virtual bool holds_prefix(const core::TimedRequest& rq) const = 0;
 
-  double clock() const { return core_.clock(); }
   // Estimated queued + in-flight work, the router's load signal.
   double outstanding_s() const { return outstanding_s_; }
-  std::int64_t active() const { return core_.active(); }
-  std::int64_t queued() const {
-    return static_cast<std::int64_t>(queues_[0].size() + queues_[1].size());
+  virtual std::int64_t engine_faults() const = 0;
+  virtual std::int64_t engine_retries() const = 0;
+
+ protected:
+  virtual double clock() const = 0;
+  virtual bool has_work() const = 0;
+
+  // The load ledger: each copy's estimate is booked at enqueue and refunded
+  // when the copy leaves (finished, failed, cancelled or drained).
+  void book(std::size_t ridx, double estimate_s) {
+    ledger_[ridx] = estimate_s;
+    outstanding_s_ += estimate_s;
   }
-  std::int64_t engine_faults() const { return core_.engine_faults(); }
-  std::int64_t engine_retries() const { return core_.engine_retries(); }
+  void refund(std::size_t ridx) {
+    const auto it = ledger_.find(ridx);
+    if (it == ledger_.end()) return;
+    outstanding_s_ = std::max(0.0, outstanding_s_ - it->second);
+    ledger_.erase(it);
+  }
+  void refund_all() {
+    ledger_.clear();
+    outstanding_s_ = 0;
+  }
+
+ private:
+  std::unordered_map<std::size_t, double> ledger_;
+  double outstanding_s_ = 0;
+  bool crashed_ = false;
+  double stall_until_ = 0;
+};
+
+class Replica final : public ReplicaBase {
+ public:
+  Replica(const FleetSpec& spec, std::int64_t id, std::uint64_t seed);
+
+  void enqueue(std::size_t ridx, const core::TimedRequest* rq) override;
+  bool cancel(std::size_t ridx) override;
+  std::vector<std::size_t> drain() override;
+  void process_one(double now, std::vector<Completion>& out) override;
+  void straggle(double factor, double until_s) override;
+
+  // Primary-lane decoder; the batch lane's pool is at least as permissive
+  // for any request that fits the primary. holds_prefix reads the actual
+  // cache contents.
+  bool fits_request(const core::TimedRequest& rq) const override;
+  bool holds_prefix(const core::TimedRequest& rq) const override;
+
+  std::int64_t engine_faults() const override { return core_.engine_faults(); }
+  std::int64_t engine_retries() const override {
+    return core_.engine_retries();
+  }
 
  private:
   using Queue = std::deque<std::pair<std::size_t, const core::TimedRequest*>>;
 
+  double clock() const override { return core_.clock(); }
+  bool has_work() const override;
   core::DecoderLane& lane_for(const core::TimedRequest& rq);
   Queue& queue_of(const core::DecoderLane& lane) {
     return queues_[lane.degraded ? 1 : 0];
   }
-  void refund(std::size_t ridx);  // returns ridx's ledger entry
   void admit_one(core::DecoderLane& lane, Queue& queue);
 
-  std::int64_t id_;
   const FleetSpec& spec_;
   std::string site_;  // injector site "fleet.r<id>"
   std::uint64_t seed_;
@@ -134,13 +188,7 @@ class Replica {
   std::unique_ptr<core::InferenceEngine> degraded_engine_;
   core::LaneCore core_;
   Queue queues_[2];  // router queues of the primary and batch lanes
-  // Each copy's estimate, added at enqueue and refunded when it leaves.
-  std::unordered_map<std::size_t, double> ledger_;
   std::vector<Completion> done_;  // terminal events of the current action
-
-  double outstanding_s_ = 0;
-  bool crashed_ = false;
-  double stall_until_ = 0;
 };
 
 // The fleet's price of one request on `degraded` fidelity: prefill_s, the
@@ -150,7 +198,5 @@ class Replica {
 // the replica's load ledger, the router's admission check and the DES twin.
 double request_estimate_s(const core::IterationCost& cost,
                           const core::TimedRequest& rq, bool degraded);
-
-inline constexpr double kNever = std::numeric_limits<double>::infinity();
 
 }  // namespace dsinfer::fleet

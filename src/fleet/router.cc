@@ -50,17 +50,16 @@ struct ReqState {
   double hedge_fire_s = -1;  // when the hedge copy was dispatched
 };
 
-// The whole event loop's state for one run_trace call, so the handlers can
-// read like the protocol they implement instead of threading a dozen
-// parameters around.
+// The whole event loop's state for one run, so the handlers can read like
+// the protocol they implement instead of threading a dozen parameters
+// around.
 struct Run {
   const FleetSpec& spec;
   const FleetOptions& fo;
-  std::uint64_t seed;
   const std::vector<TimedRequest>& requests;
 
   core::IterationCost cost;
-  std::vector<std::unique_ptr<Replica>> replicas;
+  std::vector<std::unique_ptr<ReplicaBase>> replicas;
   std::vector<Breaker> breakers;
   Rng rng;
   FleetResult result;
@@ -75,21 +74,15 @@ struct Run {
       hedges;
   bool tracing = false;
 
-  Run(const FleetSpec& s, std::uint64_t sd,
-      const std::vector<TimedRequest>& reqs)
-      : spec(s), fo(s.options()), seed(sd), requests(reqs),
+  Run(const FleetSpec& s, std::uint64_t seed,
+      const std::vector<TimedRequest>& reqs,
+      std::vector<std::unique_ptr<ReplicaBase>> reps)
+      : spec(s), fo(s.options()), requests(reqs),
         cost(s.serve().options().virtual_service, s.serve().options().engine,
              s.serve().engine().model().layers),
-        rng(sd ^ 0x9e3779b97f4a7c15ull), st(reqs.size()) {
-    const auto n_replicas = static_cast<std::size_t>(fo.replicas);
-    replicas.reserve(n_replicas);
-    for (std::size_t r = 0; r < n_replicas; ++r) {
-      // Same engine seed everywhere: identical weights, identical greedy
-      // tokens — the failover bit-identity invariant.
-      replicas.push_back(std::make_unique<Replica>(
-          spec, static_cast<std::int64_t>(r), seed));
-    }
-    breakers.resize(n_replicas);
+        replicas(std::move(reps)), breakers(replicas.size()),
+        rng(seed ^ 0x9e3779b97f4a7c15ull), st(reqs.size()) {
+    const std::size_t n_replicas = replicas.size();
     result.stats.resize(reqs.size());
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       auto& fs = result.stats[i];
@@ -262,7 +255,7 @@ struct Run {
     }
     const auto& res = spec.serve().options().resilience;
     // Priced like the replica's ledger entry, at full fidelity: prompt and
-    // speculation terms included, so the twin and the router shed alike.
+    // speculation terms included.
     if (res.admission_control && rq.deadline_s < core::kNoDeadline) {
       if (now + request_estimate_s(cost, rq, false) > rq.deadline_s) {
         shed(i, now, ShedReason::kAdmissionDeadline);
@@ -507,8 +500,13 @@ struct Run {
     }
   }
 
-  void run(const std::vector<std::size_t>& order,
-           std::vector<ReplicaFault> faults) {
+  void run(std::vector<ReplicaFault> faults) {
+    std::vector<std::size_t> order(requests.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return requests[a].arrival_s < requests[b].arrival_s;
+                     });
     std::stable_sort(
         faults.begin(), faults.end(),
         [](const ReplicaFault& a, const ReplicaFault& b) {
@@ -559,6 +557,24 @@ struct Run {
 };
 
 }  // namespace
+
+namespace detail {
+
+FleetResult run_fleet(const FleetSpec& spec, std::uint64_t seed,
+                      const std::vector<core::TimedRequest>& requests,
+                      std::vector<std::unique_ptr<ReplicaBase>> replicas,
+                      std::vector<ReplicaFault> faults) {
+  Run run(spec, seed, requests, std::move(replicas));
+  run.run(std::move(faults));
+  // The totality guarantee is load-bearing for the chaos gate: surface any
+  // internal leak loudly rather than returning silently wrong accounting.
+  if (const std::string leak = check_accounting(run.result); !leak.empty()) {
+    throw std::logic_error("fleet accounting leak: " + leak);
+  }
+  return std::move(run.result);
+}
+
+}  // namespace detail
 
 const char* shed_reason_name(ShedReason r) {
   switch (r) {
@@ -702,36 +718,30 @@ FleetResult FleetRouter::run_trace(std::vector<core::TimedRequest> requests,
               std::to_string(r.id));
     }
   }
-  std::vector<std::size_t> order(requests.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return requests[a].arrival_s < requests[b].arrival_s;
-                   });
-
-  Run run(spec_, seed_, requests);
-  run.run(order, std::move(faults));
-
-  // The totality guarantee is load-bearing for the chaos gate: surface any
-  // internal leak loudly rather than returning silently wrong accounting.
-  if (const std::string leak = check_accounting(run.result); !leak.empty()) {
-    throw std::logic_error("FleetRouter accounting leak: " + leak);
+  std::vector<std::unique_ptr<ReplicaBase>> replicas;
+  for (std::int64_t r = 0; r < spec_.options().replicas; ++r) {
+    // Same engine seed everywhere: identical weights, identical greedy
+    // tokens — the failover bit-identity invariant.
+    replicas.push_back(std::make_unique<Replica>(spec_, r, seed_));
   }
+  FleetResult result = detail::run_fleet(spec_, seed_, requests,
+                                         std::move(replicas),
+                                         std::move(faults));
 
   // Terminal requests feed the SLO watchdog and (when enabled) the flight
   // recorder in finish order — the virtual-time equivalent of observing
   // completions live.
   {
-    std::vector<std::size_t> by_finish(run.result.stats.size());
+    std::vector<std::size_t> by_finish(result.stats.size());
     for (std::size_t i = 0; i < by_finish.size(); ++i) by_finish[i] = i;
     std::stable_sort(by_finish.begin(), by_finish.end(),
                      [&](std::size_t a, std::size_t b) {
-                       return run.result.stats[a].base.finish_s <
-                              run.result.stats[b].base.finish_s;
+                       return result.stats[a].base.finish_s <
+                              result.stats[b].base.finish_s;
                      });
     const bool flight = obs::flight_enabled();
     for (std::size_t i : by_finish) {
-      const auto& s = run.result.stats[i];
+      const auto& s = result.stats[i];
       const bool violated =
           !s.base.served() || s.base.finish_s > s.base.deadline_s;
       watchdog_.observe(s.base.finish_s, cls(s.slo), s.base.latency_s(),
@@ -754,7 +764,7 @@ FleetResult FleetRouter::run_trace(std::vector<core::TimedRequest> requests,
 
   if (obs::metrics_enabled()) {
     auto& reg = obs::MetricsRegistry::instance();
-    const auto& c = run.result.counters;
+    const auto& c = result.counters;
     reg.counter("fleet.dispatches").add(c.dispatches);
     reg.counter("fleet.served").add(c.served);
     reg.counter("fleet.sheds").add(c.sheds);
@@ -767,12 +777,12 @@ FleetResult FleetRouter::run_trace(std::vector<core::TimedRequest> requests,
     reg.counter("fleet.crashes").add(c.crashes);
     auto& lat_h = reg.histogram("fleet.latency_s.latency");
     auto& bat_h = reg.histogram("fleet.latency_s.batch");
-    for (const auto& s : run.result.stats) {
+    for (const auto& s : result.stats) {
       if (!s.base.served()) continue;
       (s.slo == SloClass::kBatch ? bat_h : lat_h).record(s.base.latency_s());
     }
   }
-  return std::move(run.result);
+  return result;
 }
 
 }  // namespace dsinfer::fleet

@@ -12,7 +12,9 @@
 // event loop over arrivals, scheduled replica faults, probe ticks, hedge
 // timers, and replica actions — always advancing the globally earliest
 // event, so a whole chaos run (every latency, failover, and shed) is a pure
-// function of (spec, trace, fault schedule, seed).
+// function of (spec, trace, fault schedule, seed). The loop drives replicas
+// through ReplicaBase (fleet/replica.h), so the DES twin (fleet/fleet_sim.h)
+// runs this same loop over synthetic replicas.
 //
 // Totality guarantee (the chaos gate): every request in the trace reaches a
 // terminal state — served (possibly degraded/late), typed-shed, or
@@ -95,6 +97,21 @@ std::string check_accounting(const FleetResult& result);
 // summarize_phases, and the bench's --attr rows.
 std::vector<obs::AttributedRequest> attributed_requests(
     const FleetResult& result);
+
+namespace detail {
+
+// The fleet protocol's one event loop: arrivals, the fault timeline, probe
+// ticks, hedge timers and replica actions over `replicas`, always advancing
+// the globally earliest event. FleetRouter::run_trace runs it over engine
+// Replicas, simulate_fleet (fleet/fleet_sim.h) over the DES twin's
+// synthetic ones. `requests` must already be valid; throws std::logic_error
+// if the result's accounting leaks.
+FleetResult run_fleet(const FleetSpec& spec, std::uint64_t seed,
+                      const std::vector<core::TimedRequest>& requests,
+                      std::vector<std::unique_ptr<ReplicaBase>> replicas,
+                      std::vector<ReplicaFault> faults);
+
+}  // namespace detail
 
 class FleetRouter {
  public:

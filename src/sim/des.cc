@@ -17,18 +17,9 @@ std::int64_t next_sim_tid() {
 }
 }  // namespace
 
-Simulator::EventId Simulator::schedule_at(double t, Callback cb) {
+void Simulator::schedule_at(double t, Callback cb) {
   if (t < now_) throw std::invalid_argument("schedule_at: time in the past");
-  const EventId id = next_seq_++;
-  queue_.push(Event{t, id, std::move(cb)});
-  return id;
-}
-
-void Simulator::cancel(EventId id) {
-  // Only ids that could still be pending are worth remembering; fired events
-  // have seq < every queued seq only in FIFO traces, so just bound by the
-  // issued range and let pop-time lookup do the rest.
-  if (id < next_seq_) cancelled_.insert(id);
+  queue_.push(Event{t, next_seq_++, std::move(cb)});
 }
 
 double Simulator::run() {
@@ -37,11 +28,6 @@ double Simulator::run() {
     // of the callback after popping the ordering fields.
     Event ev = std::move(const_cast<Event&>(queue_.top()));
     queue_.pop();
-    if (auto it = cancelled_.find(ev.seq); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      ++cancelled_count_;
-      continue;  // dead event: clock does not advance, callback never runs
-    }
     now_ = ev.time;
     ++processed_;
     if (ev.cb) ev.cb();

@@ -10,7 +10,6 @@
 #include <functional>
 #include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace dsinfer::sim {
@@ -18,30 +17,19 @@ namespace dsinfer::sim {
 class Simulator {
  public:
   using Callback = std::function<void()>;
-  // Handle for a scheduled event; pass to cancel(). Never reused within one
-  // Simulator.
-  using EventId = std::uint64_t;
 
   double now() const { return now_; }
 
-  // Schedules `cb` at absolute time `t` (>= now). The returned id can cancel
-  // the event before it fires (ISSUE 6: hedged-request first-wins
-  // cancellation and probe timers in the fleet DES twin).
-  EventId schedule_at(double t, Callback cb);
-  EventId schedule_after(double dt, Callback cb) {
-    return schedule_at(now_ + dt, std::move(cb));
+  // Schedules `cb` at absolute time `t` (>= now).
+  void schedule_at(double t, Callback cb);
+  void schedule_after(double dt, Callback cb) {
+    schedule_at(now_ + dt, std::move(cb));
   }
-
-  // Marks a pending event dead: it is skipped (and its callback destroyed)
-  // when its time comes. Cancelling an already-fired or unknown id is a
-  // harmless no-op.
-  void cancel(EventId id);
 
   // Runs until the event queue drains; returns the final clock.
   double run();
 
   std::size_t events_processed() const { return processed_; }
-  std::size_t events_cancelled() const { return cancelled_count_; }
 
  private:
   struct Event {
@@ -54,11 +42,9 @@ class Simulator {
   };
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::unordered_set<EventId> cancelled_;  // pending-but-dead event ids
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::size_t processed_ = 0;
-  std::size_t cancelled_count_ = 0;
 };
 
 // An exclusive FIFO server (a GPU stream, a PCIe link, an NVMe queue).

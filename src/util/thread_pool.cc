@@ -85,8 +85,12 @@ void ThreadPool::parallel_for(
     body(begin, end);
     return;
   }
+  // At most size() chunks, the caller's included: the pool was sized to the
+  // CPUs it may use, so one more thread would only time-slice a core (a
+  // 1-worker pool on one CPU runs the range inline).
   const std::size_t chunks =
-      std::min(workers_.size() + 1, (n + grain - 1) / grain);
+      std::min(std::max<std::size_t>(workers_.size(), 1),
+               (n + grain - 1) / grain);
   if (chunks <= 1) {
     body(begin, end);
     return;

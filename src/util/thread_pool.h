@@ -31,9 +31,10 @@ class ThreadPool {
   // Enqueue a task; fire and forget. Use parallel_for for joined work.
   void submit(std::function<void()> task);
 
-  // Splits [begin, end) into roughly equal contiguous chunks, runs
-  // `body(chunk_begin, chunk_end)` across the pool and the calling thread,
-  // and returns when all chunks finished. Safe to call with begin==end.
+  // Splits [begin, end) into at most size() roughly equal contiguous
+  // chunks, runs `body(chunk_begin, chunk_end)` on the calling thread (one
+  // chunk) and the workers (the rest), and returns when all chunks
+  // finished. Safe to call with begin==end.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& body);
 

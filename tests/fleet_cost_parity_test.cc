@@ -2,7 +2,9 @@
 // replica and the fleet_sim DES twin price admits and fused iterations with
 // the same core::IterationCost, so on a fault-free run every request must
 // start and finish at the same virtual instant on both substrates — with
-// chunked prefill, speculative decode and both SLO lanes in play.
+// chunked prefill, speculative decode and both SLO lanes in play — and,
+// since the twin runs the router's own event loop, so must a chaos run with
+// hedging across three replicas.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +12,7 @@
 
 #include "core/engine_spec.h"
 #include "fleet/fleet_sim.h"
+#include "fleet/load_harness.h"
 #include "fleet/router.h"
 
 namespace dsinfer::fleet {
@@ -74,6 +77,46 @@ TEST(FleetCostParity, ReplicaAndTwinChargeTheSameClock) {
     EXPECT_NEAR(f.start_s, t.start_s, 1e-9) << "request " << i;
     EXPECT_NEAR(f.finish_s, t.finish_s, 1e-9) << "request " << i;
   }
+}
+
+// The twin runs the router's own event loop, so beyond one replica it must
+// still make every routing, hedging, failover and breaker decision the
+// router makes: three replicas, power-of-two routing, hedging and the
+// standard crash/straggle/stall schedule over a bursty mixed-class trace.
+TEST(FleetCostParity, TwinMatchesRouterUnderChaosAndHedging) {
+  FleetSpec spec = parity_spec();
+  spec.replicas(3).policy(RoutePolicy::kPowerOfTwo).hedge(true, 5e-3);
+  FleetWorkloadSpec w;
+  w.base_rate_hz = 600;
+  w.duration_s = 0.3;
+  w.seed = 51;
+  const auto trace = generate_fleet_trace(w);
+  ASSERT_EQ(trace.size(), 267u);
+  const auto faults = standard_chaos_schedule(3, 0.3);
+  const FleetResult functional = FleetRouter(spec, 7).run_trace(trace, faults);
+  const FleetResult twin = simulate_fleet(spec, trace, faults, 7);
+  ASSERT_EQ(functional.stats.size(), trace.size());
+  ASSERT_EQ(twin.stats.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const auto& f = functional.stats[i];
+    const auto& t = twin.stats[i];
+    EXPECT_EQ(f.base.outcome, t.base.outcome) << "request " << i;
+    EXPECT_EQ(f.replica, t.replica) << "request " << i;
+    EXPECT_EQ(f.hedged, t.hedged) << "request " << i;
+    EXPECT_EQ(f.hedge_won, t.hedge_won) << "request " << i;
+    EXPECT_NEAR(f.base.start_s, t.base.start_s, 1e-9) << "request " << i;
+    EXPECT_NEAR(f.base.finish_s, t.base.finish_s, 1e-9) << "request " << i;
+  }
+  const auto& fc = functional.counters;
+  const auto& tc = twin.counters;
+  EXPECT_EQ(fc.served, tc.served);
+  EXPECT_EQ(fc.failovers, tc.failovers);
+  EXPECT_EQ(fc.hedges, tc.hedges);
+  EXPECT_EQ(fc.breaker_opens, tc.breaker_opens);
+  // The run must exercise what it pins: a crash, failovers and hedges.
+  EXPECT_EQ(fc.crashes, 1);
+  EXPECT_GT(fc.failovers, 0);
+  EXPECT_GT(fc.hedges, 0);
 }
 
 }  // namespace

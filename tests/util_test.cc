@@ -6,8 +6,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "util/aligned_buffer.h"
@@ -100,6 +102,25 @@ TEST(ThreadPool, SubmitRunsTask) {
   pool.parallel_for(0, 1, [](std::size_t, std::size_t) {});
   for (int i = 0; i < 1000 && !ran; ++i) std::this_thread::yield();
   EXPECT_TRUE(ran.load());
+}
+
+TEST(ThreadPool, OneWorkerPoolRunsEveryChunkOnTheCaller) {
+  // The fan-out is bounded by the pool size, the caller included: a
+  // 1-worker pool (one CPU) runs the whole range inline instead of
+  // time-slicing its core between the caller and the worker.
+  ThreadPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  std::size_t covered = 0;
+  pool.parallel_for(0, 8, 1, [&](std::size_t b, std::size_t e) {
+    std::lock_guard<std::mutex> lock(mu);
+    ran_on.push_back(std::this_thread::get_id());
+    covered += e - b;
+  });
+  EXPECT_EQ(covered, 8u);
+  ASSERT_FALSE(ran_on.empty());
+  for (const auto& id : ran_on) EXPECT_EQ(id, caller);
 }
 
 TEST(ThreadPool, DefaultSizeFollowsTheAffinityMask) {
