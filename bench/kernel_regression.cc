@@ -2,23 +2,28 @@
 //
 // Times every vectorized kernel at Fig.-6-representative shapes (GPT-2.7B
 // width, decode m<=4, batched decode m=8 and prompt chunks m=16..64) under
-// both ISAs via the runtime override, and emits machine-readable
-// BENCH_kernels.json (GFLOP/s + GB/s per kernel per ISA) at the repo root —
-// the repo's bench trajectory entry.
-// Emission is deterministic (ISSUE 9 satellite): one JSON array with a
-// single ungated "meta" row for host/run metadata and stable-ordered,
-// fixed-format result rows that hold their prior on-disk values when the
-// fresh timing is within noise — a no-change rerun is a byte-identical
+// scalar and AVX2 via the runtime override, plus AVX-512 for the multi-row
+// linear_sbi shapes (the only calls with an AVX-512 body), and emits
+// machine-readable BENCH_kernels.json (GFLOP/s + GB/s per kernel per ISA)
+// at the repo root — the repo's bench trajectory entry. The ISAs of one case are timed
+// interleaved (scalar, avx2, [avx512], repeated) and each side takes its
+// median, so host load that comes and goes hits both sides of a ratio alike.
+// Emission is deterministic: one JSON array with a single ungated "meta"
+// row for host/run metadata and stable-ordered, fixed-format result rows
+// that hold their prior on-disk values, a whole case at a time, when the
+// fresh timings are within noise — a no-change rerun is a byte-identical
 // file.
 //
 // Modes:
 //   kernel_regression               full sweep, verbose table
 //   kernel_regression --check      quick sweep + regression gate: every SIMD
 //                                  kernel must be no slower than scalar
-//                                  within a generous noise margin, and AVX2
+//                                  within a generous noise margin, AVX2
 //                                  linear_sbi must be >= 1.2x AVX2
-//                                  linear_blocked at m16 and m64 (ctest
-//                                  label `perf`); exit 1 on regression.
+//                                  linear_blocked at m16 and m64, and
+//                                  AVX-512 linear_sbi >= 1.2x AVX2
+//                                  linear_sbi at m8 and m16 (ctest label
+//                                  `perf`); exit 1 on regression.
 //                                  Writes no JSON.
 //   kernel_regression --json PATH  override the output path.
 #include <algorithm>
@@ -59,6 +64,7 @@ struct Case {
   double flops;  // per call
   double bytes;  // per call
   std::function<void()> run;
+  bool has_avx512;  // the kernel runs an AVX-512 body under kAvx512
 };
 
 double now_ms() {
@@ -67,49 +73,61 @@ double now_ms() {
       .count();
 }
 
-// Median-of-3 of adaptive-iteration averages: robust against scheduler noise
-// on shared hosts, cheap enough for a ctest gate.
-double time_ms(const std::function<void()>& fn, double min_sample_ms) {
-  fn();  // warmup / touch pages
-  double samples[3];
-  for (double& s : samples) {
-    int iters = 0;
-    const double t0 = now_ms();
-    double t1 = t0;
-    do {
-      fn();
-      ++iters;
-      t1 = now_ms();
-    } while (t1 - t0 < min_sample_ms);
-    s = (t1 - t0) / iters;
-  }
-  std::sort(samples, samples + 3);
-  return samples[1];
+// One sample: the average call time over at least min_sample_ms.
+double sample_ms(const std::function<void()>& fn, double min_sample_ms) {
+  int iters = 0;
+  const double t0 = now_ms();
+  double t1 = t0;
+  do {
+    fn();
+    ++iters;
+    t1 = now_ms();
+  } while (t1 - t0 < min_sample_ms);
+  return (t1 - t0) / iters;
 }
+
+constexpr int kSamples = 3;
 
 class Fixture {
  public:
   explicit Fixture(bool quick) : quick_(quick) {}
 
   void add(std::string kernel, std::string shape, double flops, double bytes,
-           std::function<void()> run) {
+           std::function<void()> run, bool has_avx512 = false) {
     cases_.push_back({std::move(kernel), std::move(shape), flops, bytes,
-                      std::move(run)});
+                      std::move(run), has_avx512});
   }
 
+  // Median-of-3 of adaptive-iteration averages per ISA, the ISAs of a case
+  // sampled in turn: robust against scheduler noise on shared hosts, cheap
+  // enough for a ctest gate.
   std::vector<Entry> run_all() {
     std::vector<Entry> out;
     const double min_sample = quick_ ? 30.0 : 150.0;
-    std::vector<simd::KernelIsa> isas{simd::KernelIsa::kScalar};
-    if (simd::cpu_has_avx2()) isas.push_back(simd::KernelIsa::kAvx2);
     for (const Case& c : cases_) {
-      for (simd::KernelIsa isa : isas) {
+      std::vector<simd::KernelIsa> isas{simd::KernelIsa::kScalar};
+      if (simd::cpu_has_avx2()) isas.push_back(simd::KernelIsa::kAvx2);
+      if (c.has_avx512 && simd::cpu_has_avx512()) {
+        isas.push_back(simd::KernelIsa::kAvx512);
+      }
+      for (simd::KernelIsa isa : isas) {  // warmup / touch pages
         simd::IsaOverrideGuard guard(isa);
+        c.run();
+      }
+      std::vector<std::vector<double>> samples(isas.size());
+      for (int s = 0; s < kSamples; ++s) {
+        for (std::size_t k = 0; k < isas.size(); ++k) {
+          simd::IsaOverrideGuard guard(isas[k]);
+          samples[k].push_back(sample_ms(c.run, min_sample));
+        }
+      }
+      for (std::size_t k = 0; k < isas.size(); ++k) {
+        std::sort(samples[k].begin(), samples[k].end());
         Entry e;
         e.kernel = c.kernel;
         e.shape = c.shape;
-        e.isa = simd::isa_name(isa);
-        e.ms = time_ms(c.run, min_sample);
+        e.isa = simd::isa_name(isas[k]);
+        e.ms = samples[k][kSamples / 2];
         e.gflops = c.flops / (e.ms * 1e6);
         e.gbps = c.bytes / (e.ms * 1e6);
         std::printf("  %-18s %-24s %-7s %9.4f ms  %8.2f GFLOP/s  %7.2f GB/s\n",
@@ -153,14 +171,18 @@ std::vector<Entry> read_prior(const char* path) {
   return out;
 }
 
-// Deterministic emission (ISSUE 9 satellite): one JSON array, stable row
+// Deterministic emission: one JSON array, stable row
 // order (case insertion x ISA), stable key order, fixed float formatting.
 // Host/run metadata lives in a single ungated "meta" row so trajectory
 // gates never diff on thread counts or ISA availability. Result rows are
-// rate-limited against the prior file: when a kernel's fresh timing lands
-// within the noise band of the value already on disk, the old row is kept
+// rate-limited against the prior file, a case (kernel x shape) at a time:
+// when every ISA row of the case has a prior row and its fresh timing lands
+// within the noise band of that prior, the case's old rows are kept
 // verbatim — so a no-change rebuild re-emits a byte-identical file and
-// only genuine shifts (> 50% relative — real kernel regressions are 2x+) rewrite a row.
+// only genuine shifts (> 50% relative — real kernel regressions are 2x+)
+// rewrite a case. A case is held or rewritten whole, so the ISA rows of one
+// case always come from the same interleaved run and their ratios read
+// true.
 void write_json(const char* path, const std::vector<Entry>& entries) {
   const std::vector<Entry> prior = read_prior(path);
   std::FILE* f = std::fopen(path, "w");
@@ -171,32 +193,49 @@ void write_json(const char* path, const std::vector<Entry>& entries) {
   std::fprintf(f, "[\n");
   std::fprintf(f,
                "  {\"mode\": \"meta\", \"bench\": \"kernel_regression\", "
-               "\"avx2_available\": %s, \"threads\": %zu}%s\n",
+               "\"avx2_available\": %s, \"avx512_available\": %s, "
+               "\"threads\": %zu}%s\n",
                simd::cpu_has_avx2() ? "true" : "false",
+               simd::cpu_has_avx512() ? "true" : "false",
                // parallel_for's fan-out, the calling thread included.
                std::max<std::size_t>(ThreadPool::global().size(), 1),
                entries.empty() ? "" : ",");
-  std::size_t held = 0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry* e = &entries[i];
+  auto prior_within_noise = [&](const Entry& e) -> const Entry* {
     for (const Entry& p : prior) {
-      if (p.kernel == e->kernel && p.shape == e->shape && p.isa == e->isa &&
-          p.ms > 0 && std::abs(e->ms - p.ms) / p.ms <= 0.50) {
-        e = &p;
-        ++held;
-        break;
+      if (p.kernel == e.kernel && p.shape == e.shape && p.isa == e.isa &&
+          p.ms > 0 && std::abs(e.ms - p.ms) / p.ms <= 0.50) {
+        return &p;
       }
     }
-    std::fprintf(f,
-                 "  {\"mode\": \"result\", \"kernel\": \"%s\", \"shape\": "
-                 "\"%s\", \"isa\": \"%s\", \"ms\": %.6f, \"gflops\": %.3f, "
-                 "\"gbps\": %.3f}%s\n",
-                 e->kernel.c_str(), e->shape.c_str(), e->isa.c_str(), e->ms,
-                 e->gflops, e->gbps, i + 1 < entries.size() ? "," : "");
+    return nullptr;
+  };
+  std::size_t held = 0;
+  for (std::size_t b = 0; b < entries.size();) {
+    // The rows of one case are adjacent (case insertion x ISA).
+    std::size_t e = b;
+    bool hold = true;
+    while (e < entries.size() && entries[e].kernel == entries[b].kernel &&
+           entries[e].shape == entries[b].shape) {
+      hold = hold && prior_within_noise(entries[e]) != nullptr;
+      ++e;
+    }
+    for (std::size_t i = b; i < e; ++i) {
+      const Entry* row = hold ? prior_within_noise(entries[i]) : &entries[i];
+      std::fprintf(f,
+                   "  {\"mode\": \"result\", \"kernel\": \"%s\", \"shape\": "
+                   "\"%s\", \"isa\": \"%s\", \"ms\": %.6f, \"gflops\": %.3f, "
+                   "\"gbps\": %.3f}%s\n",
+                   row->kernel.c_str(), row->shape.c_str(), row->isa.c_str(),
+                   row->ms, row->gflops, row->gbps,
+                   i + 1 < entries.size() ? "," : "");
+    }
+    if (hold) held += e - b;
+    b = e;
   }
   std::fprintf(f, "]\n");
   std::fclose(f);
-  std::printf("wrote %s (%zu rows, %zu held at prior values within noise)\n",
+  std::printf("wrote %s (%zu rows, %zu held at prior values within noise, "
+              "whole cases only)\n",
               path, entries.size(), held);
 }
 
@@ -237,7 +276,8 @@ int main(int argc, char** argv) {
   Fixture fx(check);
 
   auto add_linear = [&](const char* kernel, std::int64_t m, std::int64_t in,
-                        std::int64_t out, std::function<void()> run) {
+                        std::int64_t out, std::function<void()> run,
+                        bool has_avx512 = false) {
     char shape[64];
     std::snprintf(shape, sizeof(shape), "m%lld_in%lld_out%lld",
                   static_cast<long long>(m), static_cast<long long>(in),
@@ -246,14 +286,17 @@ int main(int argc, char** argv) {
            (static_cast<double>(m) * in + static_cast<double>(in) * out +
             static_cast<double>(m) * out) *
                4.0,
-           std::move(run));
+           std::move(run), has_avx512);
   };
 
   // Decode-shape GeMMs (acceptance: SBI >= 2x scalar at m<=4 on AVX2) and
   // the multi-row steps of batched decode and prefill chunks (m 8..64).
+  // m == 1 runs the AVX2 decode body under AVX-512 too, so only the
+  // multi-row shapes get an avx512 row.
   for (std::int64_t m : {1, 4, 8, 16, 64}) {
-    add_linear("linear_sbi", m, H, H,
-               [&, m] { linear_sbi(x, packed_sq, bias, y, m); });
+    add_linear(
+        "linear_sbi", m, H, H,
+        [&, m] { linear_sbi(x, packed_sq, bias, y, m); }, m > 1);
   }
   add_linear("linear_sbi", 1, H, 3 * H,
              [&] { linear_sbi(x, packed_qkv, bias, y, 1); });
@@ -315,8 +358,10 @@ int main(int argc, char** argv) {
   fx.add("softmax_rows", "r32_c512", 4.0 * 32 * 512, 8.0 * 32 * 512,
          [&] { softmax_rows(sm, 32, 512); });
 
-  std::printf("kernel_regression (%s mode, avx2 %savailable)\n",
-              check ? "check" : "full", simd::cpu_has_avx2() ? "" : "un");
+  std::printf("kernel_regression (%s mode, avx2 %savailable, avx512 "
+              "%savailable)\n",
+              check ? "check" : "full", simd::cpu_has_avx2() ? "" : "un",
+              simd::cpu_has_avx512() ? "" : "un");
   std::vector<Entry> entries = fx.run_all();
   // Quick-sweep timings taken under test load must not overwrite the
   // tracked file.
@@ -328,19 +373,21 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Regression gate: pair scalar/avx2 entries; SIMD must not lose to scalar
-  // beyond a generous noise margin (real speedups are 2x-8x, so 0.85x only
-  // trips on genuine regressions, not timer jitter).
+  // Regression gate: pair each SIMD entry with its scalar one; SIMD must not
+  // lose to scalar beyond a generous noise margin (real speedups are 2x-8x,
+  // so 0.85x only trips on genuine regressions, not timer jitter).
   int failures = 0;
-  std::printf("\n%-18s %-24s %10s\n", "kernel", "shape", "simd/scalar");
+  std::printf("\n%-18s %-24s %-7s %10s\n", "kernel", "shape", "isa",
+              "simd/scalar");
   for (const Entry& s : entries) {
     if (s.isa != "scalar") continue;
     for (const Entry& v : entries) {
-      if (v.isa == "avx2" && v.kernel == s.kernel && v.shape == s.shape) {
+      if (v.isa != "scalar" && v.kernel == s.kernel && v.shape == s.shape) {
         const double speedup = s.ms / v.ms;
         const bool ok = speedup >= 0.85;
-        std::printf("%-18s %-24s %9.2fx%s\n", s.kernel.c_str(),
-                    s.shape.c_str(), speedup, ok ? "" : "  REGRESSION");
+        std::printf("%-18s %-24s %-7s %9.2fx%s\n", s.kernel.c_str(),
+                    s.shape.c_str(), v.isa.c_str(), speedup,
+                    ok ? "" : "  REGRESSION");
         if (!ok) ++failures;
       }
     }
@@ -367,6 +414,31 @@ int main(int argc, char** argv) {
                 ok ? "" : "  BELOW 1.2x");
     if (!ok) ++sbi_failures;
   }
+  // AVX-512 gate: the 8-row x 32-output tile must beat the AVX2 6 x 16 one
+  // at the batched-decode and prefill-chunk shapes, measured in the same
+  // run.
+  int avx512_failures = 0;
+  if (simd::cpu_has_avx512()) {
+    std::printf("\n%-24s %20s\n", "shape", "sbi avx512/avx2");
+    for (const char* shape : {"m8_in2560_out2560", "m16_in2560_out2560"}) {
+      const Entry* wide = nullptr;
+      const Entry* narrow = nullptr;
+      for (const Entry& e : entries) {
+        if (e.kernel != "linear_sbi" || e.shape != shape) continue;
+        if (e.isa == "avx512") wide = &e;
+        if (e.isa == "avx2") narrow = &e;
+      }
+      if (wide == nullptr || narrow == nullptr) continue;
+      const double ratio = narrow->ms / wide->ms;
+      const bool ok = ratio >= 1.2;
+      std::printf("%-24s %19.2fx%s\n", shape, ratio,
+                  ok ? "" : "  BELOW 1.2x");
+      if (!ok) ++avx512_failures;
+    }
+  } else {
+    std::printf("\nno AVX-512 path on this host/build; avx512/avx2 gate "
+                "skipped\n");
+  }
   if (check && failures > 0) {
     std::fprintf(stderr, "kernel_regression: %d SIMD kernel(s) slower than "
                          "scalar beyond noise\n", failures);
@@ -376,5 +448,12 @@ int main(int argc, char** argv) {
                          "linear_blocked (AVX2) at %d multi-row shape(s)\n",
                  sbi_failures);
   }
-  return check && (failures > 0 || sbi_failures > 0) ? 1 : 0;
+  if (check && avx512_failures > 0) {
+    std::fprintf(stderr, "kernel_regression: AVX-512 linear_sbi below 1.2x "
+                         "AVX2 linear_sbi at %d shape(s)\n",
+                 avx512_failures);
+  }
+  return check && (failures > 0 || sbi_failures > 0 || avx512_failures > 0)
+             ? 1
+             : 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "kernels/simd.h"
 #include "util/thread_pool.h"
@@ -118,9 +119,9 @@ std::span<const float> PackedWeight::panel(std::int64_t panel_idx) const {
           static_cast<std::size_t>(kPanelOut * in_)};
 }
 
-static_assert(PackedWeight::kPanelOut == 8,
-              "SBI panels feed simd::fma_tile8/fma_tile16: 8 output lanes per "
-              "panel is one 32-byte half cache line of FP32");
+static_assert(PackedWeight::kPanelOut == 16,
+              "SBI panels feed simd::fma_tile16/fma_tile32: 16 output lanes "
+              "per input index is one 64-byte cache line of FP32");
 
 void linear_sbi(std::span<const float> x, const PackedWeight& w,
                 std::span<const float> bias, std::span<float> y,
@@ -132,35 +133,30 @@ void linear_sbi(std::span<const float> x, const PackedWeight& w,
   constexpr std::int64_t kP = PackedWeight::kPanelOut;
 
   // One work item is one panel at m == 1 and a pair of panels otherwise.
-  // m == 1 (decode) streams each panel once through fma_tile8's 4-chain
-  // row kernel. m >= 2 takes the panels two at a time through fma_tile16:
-  // up to 6 rows x 16 outputs per streaming pass, the 6-row tiles
-  // re-reading the pair from cache. Every output is then one sequential FMA
-  // chain over the input index, whatever m is.
+  // m == 1 (decode) streams each panel once through fma_tile16's 4-chain
+  // row kernel. m >= 2 runs all m rows over the pair through fma_tile32,
+  // whose row passes (8 rows on AVX-512, 6 on AVX2) re-read the pair from
+  // cache after the first. Every output is then one sequential FMA chain
+  // over the input index, whatever m and the ISA are.
   const std::int64_t item_panels = m == 1 ? 1 : 2;
-  auto run_item = [&](std::int64_t t) {
+  const std::int64_t acc_ld = item_panels * kP;
+  auto run_item = [&](std::int64_t t, float* acc) {
     const std::int64_t p = t * item_panels;
     const std::int64_t np = std::min(item_panels, w.num_panels() - p);
     const std::int64_t o_begin = p * kP;
     const std::int64_t o_count = std::min(np * kP, out - o_begin);
-    const std::int64_t row_step = m == 1 ? 1 : simd::kWideTileRows;
-    const std::int64_t acc_ld = m == 1 ? kP : 2 * kP;
-    for (std::int64_t r0 = 0; r0 < m; r0 += row_step) {
-      const std::int64_t mm = std::min(row_step, m - r0);
-      float acc[simd::kWideTileRows * 2 * kP];
-      std::fill_n(acc, mm * acc_ld, 0.0f);
-      if (m == 1) {
-        simd::fma_tile8(x.data(), in, 1, w.panel(p).data(), in, acc);
-      } else {
-        simd::fma_tile16(x.data() + r0 * in, in, mm, w.panel(p).data(),
-                         np == 2 ? w.panel(p + 1).data() : nullptr, in, acc);
-      }
-      for (std::int64_t rr = 0; rr < mm; ++rr) {
-        float* yr = y.data() + (r0 + rr) * out + o_begin;
-        const float* ar = acc + rr * acc_ld;
-        for (std::int64_t j = 0; j < o_count; ++j) {
-          yr[j] = ar[j] + (bias.empty() ? 0.0f : bias[o_begin + j]);
-        }
+    std::fill_n(acc, m * acc_ld, 0.0f);
+    if (m == 1) {
+      simd::fma_tile16(x.data(), in, 1, w.panel(p).data(), in, acc);
+    } else {
+      simd::fma_tile32(x.data(), in, m, w.panel(p).data(),
+                       np == 2 ? w.panel(p + 1).data() : nullptr, in, acc);
+    }
+    for (std::int64_t r = 0; r < m; ++r) {
+      float* yr = y.data() + r * out + o_begin;
+      const float* ar = acc + r * acc_ld;
+      for (std::int64_t j = 0; j < o_count; ++j) {
+        yr[j] = ar[j] + (bias.empty() ? 0.0f : bias[o_begin + j]);
       }
     }
   };
@@ -170,8 +166,9 @@ void linear_sbi(std::span<const float> x, const PackedWeight& w,
       0, static_cast<std::size_t>(items),
       grain_for(2 * m * item_panels * kP * in),
       [&](std::size_t tb, std::size_t te) {
+        std::vector<float> acc(static_cast<std::size_t>(m * acc_ld));
         for (std::size_t t = tb; t < te; ++t) {
-          run_item(static_cast<std::int64_t>(t));
+          run_item(static_cast<std::int64_t>(t), acc.data());
         }
       });
 }
@@ -208,8 +205,8 @@ void linear_sbi_split(std::span<const float> x, const PackedWeight& w,
             const std::int64_t mm =
                 std::min<std::int64_t>(simd::kTileRows, m - r0);
             float acc[simd::kTileRows * kP] = {};
-            simd::fma_tile8(x.data() + r0 * in + i_begin, in, mm,
-                            panel + i_begin * kP, i_end - i_begin, acc);
+            simd::fma_tile16(x.data() + r0 * in + i_begin, in, mm,
+                             panel + i_begin * kP, i_end - i_begin, acc);
             for (std::int64_t rr = 0; rr < mm; ++rr) {
               std::memcpy(partials.data() +
                               ((s * m + r0 + rr) * num_panels + p) * kP,

@@ -35,7 +35,10 @@ void linear_blocked(std::span<const float> x, std::span<const float> w,
 // streaming read touches full cache lines (paper Fig. 1(b)).
 class PackedWeight {
  public:
-  static constexpr std::int64_t kPanelOut = 8;
+  // Outputs per panel: the 16 FP32 weights of one input index fill one
+  // 64-byte cache line, one zmm load on AVX-512 and two ymm halves on AVX2.
+  // The last panel is zero-padded when out is not a multiple of 16.
+  static constexpr std::int64_t kPanelOut = 16;
 
   PackedWeight() = default;
   // Packs row-major W[out, in].
@@ -56,10 +59,11 @@ class PackedWeight {
 
 // SBI-GeMM: optimized for small m. Uses PackedWeight panels and
 // parallelizes across output panels via the global thread pool. m == 1
-// streams each panel once with a 4-chain decode kernel (simd::fma_tile8);
-// m >= 2 runs 6-row x 16-output register tiles over pairs of panels
-// (simd::fma_tile16), each output one sequential FMA chain over the input
-// index, so a row's result does not depend on the other rows of the call.
+// streams each panel once with a 4-chain decode kernel (simd::fma_tile16);
+// m >= 2 runs register tiles (simd::fma_tile32) of 8 rows x 32 outputs on
+// AVX-512 and 6 rows x 16 outputs on AVX2, each output one sequential FMA
+// chain over the input index, so a row's result does not depend on the
+// other rows of the call or on the ISA's tile shape.
 void linear_sbi(std::span<const float> x, const PackedWeight& w,
                 std::span<const float> bias, std::span<float> y,
                 std::int64_t m);

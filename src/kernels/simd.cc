@@ -1,14 +1,15 @@
 #include "kernels/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 
-// The AVX2 path is compiled whenever the toolchain can target x86 AVX2 via
-// per-function attributes, independent of the global -march flags; builds
-// with DSINFER_SIMD_SCALAR_ONLY (or non-x86 targets) drop it entirely and
-// every call resolves to the scalar fallback.
+// The AVX2 and AVX-512 paths are compiled whenever the toolchain can target
+// x86 via per-function attributes, independent of the global -march flags;
+// builds with DSINFER_SIMD_SCALAR_ONLY (or non-x86 targets) drop them
+// entirely and every call resolves to the scalar fallback.
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__)) &&  \
     !defined(DSINFER_SIMD_SCALAR_ONLY)
@@ -22,6 +23,15 @@ namespace {
 
 std::atomic<KernelIsa> g_override{KernelIsa::kAuto};
 
+// Rows of one AVX2 tile pass: 6 rows x 2 halves = 12 ymm accumulators, plus
+// 2 panel registers and 1 broadcast.
+constexpr std::int64_t kAvx2TileRows = 6;
+
+// Rows of one AVX-512 tile pass: 8 rows x 2 panels = 16 zmm accumulators,
+// plus 2 panel registers and 1 broadcast, so batched decode at m <= 8
+// streams each pair of panels once.
+constexpr std::int64_t kAvx512TileRows = 8;
+
 bool detect_avx2() {
 #if defined(DSINFER_SIMD_X86)
 #if defined(__AVX2__) && defined(__FMA__)
@@ -30,6 +40,20 @@ bool detect_avx2() {
   return true;
 #else
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#endif
+#else
+  return false;
+#endif
+}
+
+bool detect_avx512() {
+#if defined(DSINFER_SIMD_X86)
+#if defined(__AVX512F__) && defined(__AVX2__) && defined(__FMA__)
+  return true;
+#else
+  // libgcc sets avx512f only when XGETBV shows the OS saves the opmask and
+  // zmm state, so this is the CPU-and-OS check.
+  return detect_avx2() && __builtin_cpu_supports("avx512f");
 #endif
 #else
   return false;
@@ -129,26 +153,26 @@ void gelu_bias_scalar(const float* x, const float* bias, float* y,
   }
 }
 
-// The multi-row tile twin: acc rows are ldacc floats apart; panel1 == nullptr
-// covers 8 lanes. fma_tile8 (ldacc 8) and fma_tile16 (ldacc 16) share it.
+// The tile twin: acc rows are ldacc floats apart; panel1 == nullptr covers
+// 16 lanes. fma_tile16 (ldacc 16) and fma_tile32 (ldacc 32) share it.
 void fma_tile_scalar(const float* x, std::int64_t ldx, std::int64_t m,
                      const float* panel0, const float* panel1, std::int64_t n,
                      float* acc, std::int64_t ldacc) {
-  const std::int64_t lanes = panel1 ? 16 : 8;
+  const std::int64_t lanes = panel1 ? 32 : 16;
   for (std::int64_t r = 0; r < m; ++r) {
     const float* xr = x + r * ldx;
     // Local accumulators: the compiler cannot prove that acc aliases
     // neither x nor the panels, so it would reload and store acc on every
     // input index.
-    float a[16];
+    float a[32];
     for (std::int64_t j = 0; j < lanes; ++j) a[j] = acc[r * ldacc + j];
     for (std::int64_t i = 0; i < n; ++i) {
       const float xv = xr[i];
-      const float* w0 = panel0 + i * 8;
-      for (std::int64_t j = 0; j < 8; ++j) a[j] += xv * w0[j];
+      const float* w0 = panel0 + i * 16;
+      for (std::int64_t j = 0; j < 16; ++j) a[j] += xv * w0[j];
       if (panel1) {
-        const float* w1 = panel1 + i * 8;
-        for (std::int64_t j = 0; j < 8; ++j) a[8 + j] += xv * w1[j];
+        const float* w1 = panel1 + i * 16;
+        for (std::int64_t j = 0; j < 16; ++j) a[16 + j] += xv * w1[j];
       }
     }
     for (std::int64_t j = 0; j < lanes; ++j) acc[r * ldacc + j] = a[j];
@@ -435,90 +459,153 @@ DSINFER_AVX2 void gelu_bias_avx2(const float* x, const float* bias, float* y,
 
 // m == 1 specialization: a single row cannot fill the FMA pipeline with one
 // accumulator chain, so the input dimension is unrolled 4x into independent
-// chains (the decode-path workhorse of linear_sbi).
-DSINFER_AVX2 void fma_tile8_m1_avx2(const float* x, const float* panel,
-                                    std::int64_t n, float* acc) {
-  __m256 a0 = _mm256_loadu_ps(acc);
-  __m256 a1 = _mm256_setzero_ps(), a2 = _mm256_setzero_ps(),
-         a3 = _mm256_setzero_ps();
+// chains per 8-lane half of the 16-wide panel (the decode-path workhorse of
+// linear_sbi). Each lane is (c0 + c1) + (c2 + c3) over its own four chains.
+DSINFER_AVX2 void fma_tile16_m1_avx2(const float* x, const float* panel,
+                                     std::int64_t n, float* acc) {
+  __m256 a0[2], a1[2], a2[2], a3[2];
+#pragma GCC unroll 2
+  for (int h = 0; h < 2; ++h) {
+    a0[h] = _mm256_loadu_ps(acc + 8 * h);
+    a1[h] = a2[h] = a3[h] = _mm256_setzero_ps();
+  }
   std::int64_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    a0 = _mm256_fmadd_ps(_mm256_broadcast_ss(x + i),
-                         _mm256_loadu_ps(panel + (i + 0) * 8), a0);
-    a1 = _mm256_fmadd_ps(_mm256_broadcast_ss(x + i + 1),
-                         _mm256_loadu_ps(panel + (i + 1) * 8), a1);
-    a2 = _mm256_fmadd_ps(_mm256_broadcast_ss(x + i + 2),
-                         _mm256_loadu_ps(panel + (i + 2) * 8), a2);
-    a3 = _mm256_fmadd_ps(_mm256_broadcast_ss(x + i + 3),
-                         _mm256_loadu_ps(panel + (i + 3) * 8), a3);
+    const __m256 x0 = _mm256_broadcast_ss(x + i);
+    const __m256 x1 = _mm256_broadcast_ss(x + i + 1);
+    const __m256 x2 = _mm256_broadcast_ss(x + i + 2);
+    const __m256 x3 = _mm256_broadcast_ss(x + i + 3);
+#pragma GCC unroll 2
+    for (int h = 0; h < 2; ++h) {
+      const float* p = panel + i * 16 + 8 * h;
+      a0[h] = _mm256_fmadd_ps(x0, _mm256_loadu_ps(p), a0[h]);
+      a1[h] = _mm256_fmadd_ps(x1, _mm256_loadu_ps(p + 16), a1[h]);
+      a2[h] = _mm256_fmadd_ps(x2, _mm256_loadu_ps(p + 32), a2[h]);
+      a3[h] = _mm256_fmadd_ps(x3, _mm256_loadu_ps(p + 48), a3[h]);
+    }
   }
   for (; i < n; ++i) {
-    a0 = _mm256_fmadd_ps(_mm256_broadcast_ss(x + i),
-                         _mm256_loadu_ps(panel + i * 8), a0);
+    const __m256 xv = _mm256_broadcast_ss(x + i);
+#pragma GCC unroll 2
+    for (int h = 0; h < 2; ++h) {
+      a0[h] = _mm256_fmadd_ps(xv, _mm256_loadu_ps(panel + i * 16 + 8 * h),
+                              a0[h]);
+    }
   }
-  _mm256_storeu_ps(acc, _mm256_add_ps(_mm256_add_ps(a0, a1),
-                                      _mm256_add_ps(a2, a3)));
+#pragma GCC unroll 2
+  for (int h = 0; h < 2; ++h) {
+    _mm256_storeu_ps(acc + 8 * h, _mm256_add_ps(_mm256_add_ps(a0[h], a1[h]),
+                                                _mm256_add_ps(a2[h], a3[h])));
+  }
 }
 
-// The multi-row tile: M rows x NP panels of accumulators stay in registers
-// (the unroll pragmas make GCC scalarize the arrays; without them -O2 keeps
-// them on the stack and every FMA round-trips through memory). Per input
-// index: NP panel loads, M broadcasts, M*NP FMAs, each accumulator one
-// sequential chain. acc rows are ldacc floats apart: fma_tile8 runs it with
-// NP = 1 and ldacc 8, fma_tile16 with ldacc 16.
-template <int M, int NP>
+// The multi-row tiles prefetch the panel line kPrefetchLines input indexes
+// ahead. With the weights in DRAM, a tile pass that covers a panel once is
+// bound by how many line fills are in flight, and the L2 streamer alone
+// keeps too few: on a shared Sapphire Rapids core, 32 lines (2 KB) ahead
+// cut AVX-512 linear_sbi over a DRAM-resident 403 MB weight set from 37-47
+// to 30-35 ms at m = 8. The address is formed as an integer: near the
+// panel's end it lies past the buffer, which a prefetch may touch (it never
+// faults) but a pointer may not point to.
+constexpr std::int64_t kPrefetchLines = 32;
+
+DSINFER_AVX2 inline void prefetch_ahead(const float* panel, std::int64_t i) {
+  _mm_prefetch(reinterpret_cast<const char*>(
+                   reinterpret_cast<std::uintptr_t>(panel) +
+                   static_cast<std::uintptr_t>(i + kPrefetchLines) * 64),
+               _MM_HINT_T0);
+}
+
+// The AVX2 multi-row tile: M rows x one 16-wide panel (two ymm halves of
+// the same cache line) of accumulators stay in registers (the unroll
+// pragmas make GCC scalarize the arrays; without them -O2 keeps them on the
+// stack and every FMA round-trips through memory). Per input index: 2
+// half-panel loads, M broadcasts, 2M FMAs, each accumulator one sequential
+// chain. acc rows are ldacc floats apart.
+template <int M>
 DSINFER_AVX2 void fma_tile_m_avx2(const float* x, std::int64_t ldx,
-                                  const float* panel0, const float* panel1,
-                                  std::int64_t n, float* acc,
-                                  std::int64_t ldacc) {
+                                  const float* panel, std::int64_t n,
+                                  float* acc, std::int64_t ldacc) {
   const float* xr[M];
-  __m256 a[M][NP];
+  __m256 a[M][2];
 #pragma GCC unroll 6
   for (int r = 0; r < M; ++r) {
     xr[r] = x + r * ldx;
 #pragma GCC unroll 2
-    for (int q = 0; q < NP; ++q) {
-      a[r][q] = _mm256_loadu_ps(acc + r * ldacc + q * 8);
+    for (int h = 0; h < 2; ++h) {
+      a[r][h] = _mm256_loadu_ps(acc + r * ldacc + h * 8);
     }
   }
   for (std::int64_t i = 0; i < n; ++i) {
-    __m256 w[NP];
-    w[0] = _mm256_loadu_ps(panel0 + i * 8);
-    if constexpr (NP == 2) w[1] = _mm256_loadu_ps(panel1 + i * 8);
+    prefetch_ahead(panel, i);
+    const __m256 w0 = _mm256_loadu_ps(panel + i * 16);
+    const __m256 w1 = _mm256_loadu_ps(panel + i * 16 + 8);
 #pragma GCC unroll 6
     for (int r = 0; r < M; ++r) {
       const __m256 xv = _mm256_broadcast_ss(xr[r] + i);
-#pragma GCC unroll 2
-      for (int q = 0; q < NP; ++q) a[r][q] = _mm256_fmadd_ps(xv, w[q], a[r][q]);
+      a[r][0] = _mm256_fmadd_ps(xv, w0, a[r][0]);
+      a[r][1] = _mm256_fmadd_ps(xv, w1, a[r][1]);
     }
   }
 #pragma GCC unroll 6
   for (int r = 0; r < M; ++r) {
 #pragma GCC unroll 2
-    for (int q = 0; q < NP; ++q) {
-      _mm256_storeu_ps(acc + r * ldacc + q * 8, a[r][q]);
+    for (int h = 0; h < 2; ++h) {
+      _mm256_storeu_ps(acc + r * ldacc + h * 8, a[r][h]);
     }
   }
 }
 
-template <int NP>
+// Input indexes per block when the AVX2 body covers two panels: it
+// alternates between them every kAvx2PairBlock input indexes, its
+// accumulators passing through acc between blocks (a store and a reload,
+// exact), so both panels stream from DRAM at once.
+constexpr std::int64_t kAvx2PairBlock = 32;
+
+// Up to kAvx2TileRows rows over one panel, or over two interleaved by block.
+template <int M>
+DSINFER_AVX2 void fma_rows_avx2(const float* x, std::int64_t ldx,
+                                const float* panel0, const float* panel1,
+                                std::int64_t n, float* acc,
+                                std::int64_t ldacc) {
+  if (panel1 == nullptr) {
+    return fma_tile_m_avx2<M>(x, ldx, panel0, n, acc, ldacc);
+  }
+  for (std::int64_t i = 0; i < n; i += kAvx2PairBlock) {
+    const std::int64_t nb = std::min(kAvx2PairBlock, n - i);
+    fma_tile_m_avx2<M>(x + i, ldx, panel0 + i * 16, nb, acc, ldacc);
+    fma_tile_m_avx2<M>(x + i, ldx, panel1 + i * 16, nb, acc + 16, ldacc);
+  }
+}
+
+// Any m, in passes of up to kAvx2TileRows rows.
 DSINFER_AVX2 void fma_tile_avx2(const float* x, std::int64_t ldx,
                                 std::int64_t m, const float* panel0,
                                 const float* panel1, std::int64_t n,
                                 float* acc, std::int64_t ldacc) {
-  switch (m) {
-    case 1:
-      return fma_tile_m_avx2<1, NP>(x, ldx, panel0, panel1, n, acc, ldacc);
-    case 2:
-      return fma_tile_m_avx2<2, NP>(x, ldx, panel0, panel1, n, acc, ldacc);
-    case 3:
-      return fma_tile_m_avx2<3, NP>(x, ldx, panel0, panel1, n, acc, ldacc);
-    case 4:
-      return fma_tile_m_avx2<4, NP>(x, ldx, panel0, panel1, n, acc, ldacc);
-    case 5:
-      return fma_tile_m_avx2<5, NP>(x, ldx, panel0, panel1, n, acc, ldacc);
-    default:
-      return fma_tile_m_avx2<6, NP>(x, ldx, panel0, panel1, n, acc, ldacc);
+  for (std::int64_t r0 = 0; r0 < m; r0 += kAvx2TileRows) {
+    const float* xs = x + r0 * ldx;
+    float* as = acc + r0 * ldacc;
+    switch (std::min(kAvx2TileRows, m - r0)) {
+      case 1:
+        fma_rows_avx2<1>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+      case 2:
+        fma_rows_avx2<2>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+      case 3:
+        fma_rows_avx2<3>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+      case 4:
+        fma_rows_avx2<4>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+      case 5:
+        fma_rows_avx2<5>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+      default:
+        fma_rows_avx2<6>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+    }
   }
 }
 
@@ -565,11 +652,103 @@ DSINFER_AVX2 void quantize_i8_avx2(const float* x, float inv_scale,
   }
 }
 
+// ---- AVX-512 path (multi-row tiles only) -------------------------------
+
+#define DSINFER_AVX512 __attribute__((target("avx512f,avx2,fma")))
+
+// The AVX-512 tile: M rows x NP 16-wide panels, one zmm accumulator each
+// (8 x 2 = 16 of the 32 zmm registers), in one streaming pass. Per input
+// index: NP full-line panel loads, M broadcasts, M*NP FMAs, each
+// accumulator one sequential chain. acc rows are ldacc floats apart.
+template <int M, int NP>
+DSINFER_AVX512 void fma_tile_m_avx512(const float* x, std::int64_t ldx,
+                                      const float* panel0, const float* panel1,
+                                      std::int64_t n, float* acc,
+                                      std::int64_t ldacc) {
+  const float* xr[M];
+  __m512 a[M][NP];
+#pragma GCC unroll 8
+  for (int r = 0; r < M; ++r) {
+    xr[r] = x + r * ldx;
+#pragma GCC unroll 2
+    for (int q = 0; q < NP; ++q) {
+      a[r][q] = _mm512_loadu_ps(acc + r * ldacc + q * 16);
+    }
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    prefetch_ahead(panel0, i);
+    if constexpr (NP == 2) prefetch_ahead(panel1, i);
+    __m512 w[NP];
+    w[0] = _mm512_loadu_ps(panel0 + i * 16);
+    if constexpr (NP == 2) w[1] = _mm512_loadu_ps(panel1 + i * 16);
+#pragma GCC unroll 8
+    for (int r = 0; r < M; ++r) {
+      const __m512 xv = _mm512_set1_ps(xr[r][i]);
+#pragma GCC unroll 2
+      for (int q = 0; q < NP; ++q) a[r][q] = _mm512_fmadd_ps(xv, w[q], a[r][q]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < M; ++r) {
+#pragma GCC unroll 2
+    for (int q = 0; q < NP; ++q) {
+      _mm512_storeu_ps(acc + r * ldacc + q * 16, a[r][q]);
+    }
+  }
+}
+
+// Any m, in passes of up to kAvx512TileRows rows.
+template <int NP>
+DSINFER_AVX512 void fma_tile_avx512(const float* x, std::int64_t ldx,
+                                    std::int64_t m, const float* panel0,
+                                    const float* panel1, std::int64_t n,
+                                    float* acc, std::int64_t ldacc) {
+  for (std::int64_t r0 = 0; r0 < m; r0 += kAvx512TileRows) {
+    const float* xs = x + r0 * ldx;
+    float* as = acc + r0 * ldacc;
+    switch (std::min(kAvx512TileRows, m - r0)) {
+      case 1:
+        fma_tile_m_avx512<1, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+      case 2:
+        fma_tile_m_avx512<2, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+      case 3:
+        fma_tile_m_avx512<3, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+      case 4:
+        fma_tile_m_avx512<4, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+      case 5:
+        fma_tile_m_avx512<5, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+      case 6:
+        fma_tile_m_avx512<6, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+      case 7:
+        fma_tile_m_avx512<7, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+      default:
+        fma_tile_m_avx512<8, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        break;
+    }
+  }
+}
+
 #endif  // DSINFER_SIMD_X86
 
+// Every SIMD path runs the AVX2 body of a primitive that has no AVX-512 one.
 inline bool use_avx2() {
 #if defined(DSINFER_SIMD_X86)
-  return active_isa() == KernelIsa::kAvx2;
+  return active_isa() != KernelIsa::kScalar;
+#else
+  return false;
+#endif
+}
+
+inline bool use_avx512() {
+#if defined(DSINFER_SIMD_X86)
+  return active_isa() == KernelIsa::kAvx512;
 #else
   return false;
 #endif
@@ -582,9 +761,15 @@ bool cpu_has_avx2() {
   return v;
 }
 
+bool cpu_has_avx512() {
+  static const bool v = detect_avx512();
+  return v;
+}
+
 KernelIsa active_isa() {
   const KernelIsa o = g_override.load(std::memory_order_relaxed);
   if (o == KernelIsa::kScalar) return KernelIsa::kScalar;
+  if (o != KernelIsa::kAvx2 && cpu_has_avx512()) return KernelIsa::kAvx512;
   return cpu_has_avx2() ? KernelIsa::kAvx2 : KernelIsa::kScalar;
 }
 
@@ -602,6 +787,8 @@ const char* isa_name(KernelIsa isa) {
       return "scalar";
     case KernelIsa::kAvx2:
       return "avx2";
+    case KernelIsa::kAvx512:
+      return "avx512";
   }
   return "unknown";
 }
@@ -686,27 +873,29 @@ void gelu_bias(const float* x, const float* bias, float* y, std::int64_t n) {
   gelu_bias_scalar(x, bias, y, n);
 }
 
-void fma_tile8(const float* x, std::int64_t ldx, std::int64_t m,
-               const float* panel, std::int64_t n, float* acc) {
+void fma_tile16(const float* x, std::int64_t ldx, std::int64_t m,
+                const float* panel, std::int64_t n, float* acc) {
 #if defined(DSINFER_SIMD_X86)
-  if (use_avx2()) {
-    return m == 1 ? fma_tile8_m1_avx2(x, panel, n, acc)
-                  : fma_tile_avx2<1>(x, ldx, m, panel, nullptr, n, acc, 8);
+  if (m == 1 && use_avx2()) return fma_tile16_m1_avx2(x, panel, n, acc);
+  if (use_avx512()) {
+    return fma_tile_avx512<1>(x, ldx, m, panel, nullptr, n, acc, 16);
   }
+  if (use_avx2()) return fma_tile_avx2(x, ldx, m, panel, nullptr, n, acc, 16);
 #endif
-  fma_tile_scalar(x, ldx, m, panel, nullptr, n, acc, 8);
+  fma_tile_scalar(x, ldx, m, panel, nullptr, n, acc, 16);
 }
 
-void fma_tile16(const float* x, std::int64_t ldx, std::int64_t m,
+void fma_tile32(const float* x, std::int64_t ldx, std::int64_t m,
                 const float* panel0, const float* panel1, std::int64_t n,
                 float* acc) {
 #if defined(DSINFER_SIMD_X86)
-  if (use_avx2()) {
-    return panel1 ? fma_tile_avx2<2>(x, ldx, m, panel0, panel1, n, acc, 16)
-                  : fma_tile_avx2<1>(x, ldx, m, panel0, panel1, n, acc, 16);
+  if (use_avx512()) {
+    return panel1 ? fma_tile_avx512<2>(x, ldx, m, panel0, panel1, n, acc, 32)
+                  : fma_tile_avx512<1>(x, ldx, m, panel0, nullptr, n, acc, 32);
   }
+  if (use_avx2()) return fma_tile_avx2(x, ldx, m, panel0, panel1, n, acc, 32);
 #endif
-  fma_tile_scalar(x, ldx, m, panel0, panel1, n, acc, 16);
+  fma_tile_scalar(x, ldx, m, panel0, panel1, n, acc, 32);
 }
 
 std::int32_t dot_i8(const std::int8_t* a, const std::int8_t* b,

@@ -1,13 +1,15 @@
 // SIMD micro-kernel vocabulary: the register-level primitives every hot loop
 // in src/kernels is written against.
 //
-// Each primitive is implemented twice — a portable scalar loop and an
-// AVX2+FMA intrinsics version (compiled with per-function target attributes,
-// so no special build flags are needed) — and dispatched per call on the
-// active ISA. Detection is compile-time when the TU is built with an AVX2
-// baseline (`__AVX2__`) and cpuid-based otherwise; a runtime override keeps
-// the scalar path reachable on any host for A/B benchmarking (the
-// `kernel_regression` bench and the SIMD parity tests both rely on it).
+// Each primitive has a portable scalar loop and an AVX2+FMA intrinsics
+// version; the multi-row SBI-GeMM tiles (fma_tile16 at m >= 2, fma_tile32)
+// also have an AVX-512 body. Every SIMD body is compiled with per-function target
+// attributes, so no special build flags are needed, and dispatched per call
+// on the active ISA. Detection is compile-time when the TU is built with
+// that baseline (`__AVX2__`, `__AVX512F__`) and cpuid-based otherwise; a
+// runtime override keeps every path reachable on any host that supports it
+// for A/B benchmarking (the `kernel_regression` bench and the SIMD parity
+// tests both rely on it).
 //
 // Primitives take raw pointers + lengths rather than spans: they are inner
 // loops, and every call covers a whole contiguous range so the per-call
@@ -19,15 +21,23 @@
 namespace dsinfer::kernels::simd {
 
 // Which instruction set the vocabulary executes with.
-//  kAuto   — best available (AVX2 when the CPU has avx2+fma, else scalar).
+//  kAuto   — best available: AVX-512 when the CPU and OS support avx512f,
+//            else AVX2 when the CPU has avx2+fma, else scalar.
 //  kScalar — force the portable fallback.
-//  kAvx2   — request AVX2; silently degrades to scalar if unavailable so
-//            that policy sweeps stay runnable on any host.
-enum class KernelIsa : int { kAuto = 0, kScalar = 1, kAvx2 = 2 };
+//  kAvx2   — request AVX2 (the 256-bit bodies, also on an AVX-512 host);
+//            silently degrades to scalar if unavailable so that policy
+//            sweeps stay runnable on any host.
+//  kAvx512 — request the AVX-512 tile kernels; every other primitive runs
+//            its AVX2 body. Degrades to AVX2, then scalar, if unavailable.
+enum class KernelIsa : int { kAuto = 0, kScalar = 1, kAvx2 = 2, kAvx512 = 3 };
 
 // True when the host CPU supports AVX2+FMA and the AVX2 path was compiled in
 // (x86 with GCC/Clang and not DSINFER_SIMD_SCALAR_ONLY).
 bool cpu_has_avx2();
+
+// True when cpu_has_avx2() holds and the CPU and OS also support avx512f
+// (the OS saves the zmm and mask registers).
+bool cpu_has_avx512();
 
 // The ISA the next primitive call will execute with, after resolving the
 // override against availability.
@@ -94,38 +104,39 @@ float exp_sum_inplace(float* x, std::int64_t n, float bias);
 void gelu_bias(const float* x, const float* bias, float* y, std::int64_t n);
 
 // ---- Register-blocked tile kernels (SBI-GeMM inner loops) --------------
+//
+// The tiles read PackedWeight panels: 16 output lanes contiguous per input
+// index, so one input index of a panel is one 64-byte cache line (one zmm
+// load on AVX-512, two ymm halves on AVX2). Every multi-row output is one
+// sequential FMA chain over the input index, so on the SIMD paths it equals
+// a std::fmaf chain starting from acc, whatever the ISA, the tile shape or
+// the other rows of the call.
 
-// Max rows an fma_tile8 call may cover. fma_tile8 is the m == 1 decode
+// Max rows an fma_tile16 call may cover. fma_tile16 is the m == 1 decode
 // kernel of linear_sbi (one row, its input index unrolled 4x into
-// independent accumulator chains) and the inner loop of linear_sbi_split.
-// At m >= 2 it runs fma_tile16's register tile on one panel, so its rows
-// are the same sequential FMA chains; every multi-row linear_sbi step
-// calls fma_tile16 directly.
+// independent accumulator chains summed at the end; the AVX2 body under
+// both SIMD ISAs) and the inner loop of linear_sbi_split; at m >= 2 its
+// rows are sequential FMA chains.
 inline constexpr std::int64_t kTileRows = 4;
 
-// acc[r*8 + j] += sum_{i<n} x[r*ldx + i] * panel[i*8 + j]  for r < m.
-//
-// `panel` is an interleaved weight panel: 8 output lanes contiguous per
-// input index (one full 32-byte cache-line half per load), exactly the
-// PackedWeight layout — each step of the streaming pass is one 8-wide FMA
-// per row. Requires 1 <= m <= kTileRows; acc is row-major [m, 8].
-void fma_tile8(const float* x, std::int64_t ldx, std::int64_t m,
-               const float* panel, std::int64_t n, float* acc);
+// acc[r*16 + j] += sum_{i<n} x[r*ldx + i] * panel[i*16 + j]  for r < m.
+// Requires 1 <= m <= kTileRows; acc is row-major [m, 16].
+void fma_tile16(const float* x, std::int64_t ldx, std::int64_t m,
+                const float* panel, std::int64_t n, float* acc);
 
-// Max rows an fma_tile16 call may cover: 6 rows x 2 panels = 12 ymm
-// accumulators on AVX2, plus 2 panel registers and 1 broadcast.
-inline constexpr std::int64_t kWideTileRows = 6;
-
-// acc[r*16 + q*8 + j] += sum_{i<n} x[r*ldx + i] * panel_q[i*8 + j]
+// acc[r*32 + q*16 + j] += sum_{i<n} x[r*ldx + i] * panel_q[i*16 + j]
 //   for r < m, q < (panel1 ? 2 : 1), with panel_0 = panel0, panel_1 = panel1.
 //
-// Two interleaved panels (16 outputs) per pass: each input index costs 2
-// panel loads and m broadcasts for 2m FMAs. Every output is one sequential
-// FMA chain over i (no reassociation), so on AVX2 it equals a std::fmaf
-// chain starting from acc, and a row's result does not depend on which
-// other rows share the call. Requires 1 <= m <= kWideTileRows; acc is
-// row-major [m, 16] (lanes 8..15 untouched when panel1 is nullptr).
-void fma_tile16(const float* x, std::int64_t ldx, std::int64_t m,
+// Every output is one sequential FMA chain over i, also at m == 1. Requires
+// m >= 1; acc is row-major [m, 32] (lanes 16..31 untouched when panel1 is
+// nullptr). The bodies cover the rows in passes, the later passes
+// re-reading the panels from cache. AVX-512: 8-row passes over both panels
+// at once (16 zmm accumulators; per input index 2 panel loads and up to 8
+// broadcasts for 16 FMAs), so batched decode at m <= 8 streams each pair of
+// panels once. AVX2: 6-row passes (12 ymm accumulators over the two halves
+// of a panel line) that alternate between the two panels every block of
+// input indexes, so both panels stream at once.
+void fma_tile32(const float* x, std::int64_t ldx, std::int64_t m,
                 const float* panel0, const float* panel1, std::int64_t n,
                 float* acc);
 

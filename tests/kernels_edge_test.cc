@@ -9,6 +9,7 @@
 #include "kernels/elementwise.h"
 #include "kernels/gemm.h"
 #include "kernels/quant.h"
+#include "kernels/simd.h"
 #include "kernels/tensor.h"
 #include "util/rng.h"
 
@@ -130,12 +131,64 @@ TEST(EdgeCases, TensorZeroDimAllowed) {
 
 TEST(EdgeCases, PackedWeightSinglePanelExactlyFull) {
   // out == kPanelOut: one panel, no padding.
-  std::vector<float> w(8 * 3, 1.5f);
-  PackedWeight p(w, 8, 3);
+  constexpr std::int64_t kP = PackedWeight::kPanelOut;
+  std::vector<float> w(kP * 3, 1.5f);
+  PackedWeight p(w, kP, 3);
   EXPECT_EQ(p.num_panels(), 1);
-  std::vector<float> x{1, 1, 1}, y(8);
+  EXPECT_EQ(p.panel(0).size(), static_cast<std::size_t>(kP * 3));
+  std::vector<float> x{1, 1, 1}, y(kP);
   linear_sbi(x, p, {}, y, 1);
   for (float v : y) EXPECT_FLOAT_EQ(v, 4.5f);
+}
+
+TEST(EdgeCases, SbiPanelPaddingMatchesReference) {
+  // out around the 16-wide panel: a partial single panel, exactly one, one
+  // past, and odd panel counts (33 and 48 give 3), so the two-panel items
+  // of m >= 2 end on a one-panel item. The zero-padded lanes must never
+  // reach y: every row matches linear_ref and the sentinel past y stays
+  // intact. m = 9 and 17 take several row passes on every SIMD body.
+  Rng rng(21);
+  const std::int64_t in = 37;
+  const float kSentinel = -7.25f;
+  for (std::int64_t out : {1, 7, 15, 16, 17, 31, 33, 48}) {
+    std::vector<float> w(static_cast<std::size_t>(out * in));
+    std::vector<float> bias(static_cast<std::size_t>(out));
+    rng.fill_normal(w, 0.0f, 0.1f);
+    rng.fill_normal(bias);
+    PackedWeight packed(w, out, in);
+    EXPECT_EQ(packed.num_panels(),
+              (out + PackedWeight::kPanelOut - 1) / PackedWeight::kPanelOut);
+    for (std::int64_t m : {1, 2, 8, 9, 17}) {
+      std::vector<float> x(static_cast<std::size_t>(m * in));
+      rng.fill_normal(x);
+      std::vector<float> ref(static_cast<std::size_t>(m * out));
+      linear_ref(x, w, bias, ref, m, in, out);
+      for (simd::KernelIsa isa :
+           {simd::KernelIsa::kScalar, simd::KernelIsa::kAvx2,
+            simd::KernelIsa::kAvx512}) {
+        simd::IsaOverrideGuard guard(isa);
+        std::vector<float> y(ref.size() + 16, kSentinel);
+        std::span<float> ys(y.data(), ref.size());
+        linear_sbi(x, packed, bias, ys, m);
+        std::vector<float> got(y.begin(), y.begin() + ref.size());
+        EXPECT_LT(max_abs_diff(got, ref), 1e-5f)
+            << simd::isa_name(simd::active_isa()) << " sbi out=" << out
+            << " m=" << m;
+        for (std::size_t k = ref.size(); k < y.size(); ++k) {
+          EXPECT_EQ(y[k], kSentinel) << "sbi out=" << out << " m=" << m;
+        }
+        std::fill(y.begin(), y.end(), kSentinel);
+        linear_sbi_split(x, packed, bias, ys, m, 3);
+        got.assign(y.begin(), y.begin() + ref.size());
+        EXPECT_LT(max_abs_diff(got, ref), 1e-5f)
+            << simd::isa_name(simd::active_isa()) << " split out=" << out
+            << " m=" << m;
+        for (std::size_t k = ref.size(); k < y.size(); ++k) {
+          EXPECT_EQ(y[k], kSentinel) << "split out=" << out << " m=" << m;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -86,27 +86,30 @@ TEST(Gemm, ThrowsOnShortSpans) {
 }
 
 TEST(PackedWeight, PanelCountAndPadding) {
-  std::vector<float> w(10 * 4, 1.0f);  // out=10, in=4 -> 2 panels of 8
-  PackedWeight p(w, 10, 4);
+  constexpr std::int64_t kP = PackedWeight::kPanelOut;
+  // out = kP + 2, in = 4 -> 2 panels of kP.
+  std::vector<float> w(static_cast<std::size_t>((kP + 2) * 4), 1.0f);
+  PackedWeight p(w, kP + 2, 4);
   EXPECT_EQ(p.num_panels(), 2);
-  EXPECT_EQ(p.out(), 10);
+  EXPECT_EQ(p.out(), kP + 2);
   EXPECT_EQ(p.in(), 4);
   // Padded tail outputs are zero in the second panel.
   auto panel = p.panel(1);
-  // Element layout: panel[i * 8 + j] is output (8 + j), input i.
-  EXPECT_FLOAT_EQ(panel[0 * 8 + 0], 1.0f);  // output 8 exists
-  EXPECT_FLOAT_EQ(panel[0 * 8 + 2], 0.0f);  // output 10 is padding
+  // Element layout: panel[i * kP + j] is output (kP + j), input i.
+  EXPECT_FLOAT_EQ(panel[0 * kP + 0], 1.0f);  // output kP exists
+  EXPECT_FLOAT_EQ(panel[0 * kP + 2], 0.0f);  // output kP + 2 is padding
 }
 
 TEST(PackedWeight, InterleavedLayoutMatchesDefinition) {
-  // out=2, in=3, W = [[1,2,3],[4,5,6]]; panel[i*8+j] = W[j][i].
+  // out=2, in=3, W = [[1,2,3],[4,5,6]]; panel[i*kP+j] = W[j][i].
+  constexpr std::int64_t kP = PackedWeight::kPanelOut;
   std::vector<float> w{1, 2, 3, 4, 5, 6};
   PackedWeight p(w, 2, 3);
   auto panel = p.panel(0);
-  EXPECT_FLOAT_EQ(panel[0 * 8 + 0], 1.0f);
-  EXPECT_FLOAT_EQ(panel[0 * 8 + 1], 4.0f);
-  EXPECT_FLOAT_EQ(panel[2 * 8 + 0], 3.0f);
-  EXPECT_FLOAT_EQ(panel[2 * 8 + 1], 6.0f);
+  EXPECT_FLOAT_EQ(panel[0 * kP + 0], 1.0f);
+  EXPECT_FLOAT_EQ(panel[0 * kP + 1], 4.0f);
+  EXPECT_FLOAT_EQ(panel[2 * kP + 0], 3.0f);
+  EXPECT_FLOAT_EQ(panel[2 * kP + 1], 6.0f);
 }
 
 TEST(Matmul, KnownProduct) {

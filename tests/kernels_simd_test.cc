@@ -1,7 +1,8 @@
 // SIMD-vs-scalar parity for the micro-kernel vocabulary and every kernel
 // rewritten on top of it, at deliberately awkward shapes: lengths that are
 // not multiples of the 8-wide vector, tail panels, m=1 decode, empty bias,
-// and the bitwise FMA-chain contract of the multi-row SBI tile.
+// and the bitwise FMA-chain contract of the multi-row SBI tile, which the
+// AVX2 and AVX-512 bodies must meet bit for bit.
 //
 // The same source also builds as kernels_simd_scalar_test against the
 // scalar-only kernel library (DSINFER_SIMD_SCALAR_ONLY), where
@@ -50,6 +51,18 @@ std::vector<float> random_vec(Rng& rng, std::size_t n, float stddev = 1.0f) {
 // Lengths exercising full vectors, tails, and sub-vector sizes.
 const std::int64_t kAwkwardLens[] = {1, 3, 7, 8, 9, 15, 16, 31, 100, 257};
 
+// The SIMD ISAs this host and build can run: empty in the scalar-only build.
+std::vector<simd::KernelIsa> simd_isas() {
+  std::vector<simd::KernelIsa> isas;
+  if (simd::cpu_has_avx2()) isas.push_back(simd::KernelIsa::kAvx2);
+  if (simd::cpu_has_avx512()) isas.push_back(simd::KernelIsa::kAvx512);
+  return isas;
+}
+
+bool bitwise_equal(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
 TEST(SimdDispatch, OverrideSwitchesActiveIsa) {
   ASSERT_EQ(simd::isa_override(), simd::KernelIsa::kAuto);
   {
@@ -64,10 +77,21 @@ TEST(SimdDispatch, OverrideSwitchesActiveIsa) {
                                       ? simd::KernelIsa::kAvx2
                                       : simd::KernelIsa::kScalar);
   }
+  // kAuto and kAvx512 resolve to the best available ISA: AVX-512, then
+  // AVX2, then scalar.
+  const simd::KernelIsa best =
+      simd::cpu_has_avx512()
+          ? simd::KernelIsa::kAvx512
+          : (simd::cpu_has_avx2() ? simd::KernelIsa::kAvx2
+                                  : simd::KernelIsa::kScalar);
+  EXPECT_TRUE(!simd::cpu_has_avx512() || simd::cpu_has_avx2());
+  {
+    simd::IsaOverrideGuard guard(simd::KernelIsa::kAvx512);
+    EXPECT_EQ(simd::active_isa(), best);
+  }
   // Guard restored auto dispatch.
   EXPECT_EQ(simd::isa_override(), simd::KernelIsa::kAuto);
-  EXPECT_EQ(simd::active_isa(), simd::cpu_has_avx2() ? simd::KernelIsa::kAvx2
-                                                     : simd::KernelIsa::kScalar);
+  EXPECT_EQ(simd::active_isa(), best);
 }
 
 TEST(SimdDispatch, OverrideActuallySwitchesPaths) {
@@ -181,30 +205,8 @@ TEST(SimdVocabulary, GeluBiasAndNormAffineParity) {
   }
 }
 
-TEST(SimdVocabulary, FmaTile8ParityAllRowCounts) {
-  Rng rng(4);
-  for (std::int64_t n : kAwkwardLens) {
-    for (std::int64_t m = 1; m <= simd::kTileRows; ++m) {
-      const std::int64_t ldx = n + 5;  // non-contiguous rows
-      auto x = random_vec(rng, static_cast<std::size_t>(m * ldx));
-      auto panel = random_vec(rng, static_cast<std::size_t>(n * 8));
-      std::vector<float> acc0(static_cast<std::size_t>(m * 8), 0.5f);
-      auto acc1 = acc0;
-      {
-        simd::IsaOverrideGuard g(simd::KernelIsa::kScalar);
-        simd::fma_tile8(x.data(), ldx, m, panel.data(), n, acc0.data());
-      }
-      {
-        simd::IsaOverrideGuard g(simd::KernelIsa::kAvx2);
-        simd::fma_tile8(x.data(), ldx, m, panel.data(), n, acc1.data());
-      }
-      expect_close(acc1, acc0, 1e-5f, 1e-5f);
-    }
-  }
-}
-
-// A std::fmaf chain over i starting from `init`: the numerics fma_tile16
-// promises on AVX2 for every output lane.
+// A std::fmaf chain over i starting from `init`: the numerics every
+// multi-row tile output promises on the SIMD paths.
 float fmaf_chain(const float* x, const float* w, std::int64_t wstride,
                  std::int64_t n, float init) {
   float acc = init;
@@ -212,46 +214,111 @@ float fmaf_chain(const float* x, const float* w, std::int64_t wstride,
   return acc;
 }
 
-TEST(SimdVocabulary, FmaTile16ParityRowsAndPanels) {
+TEST(SimdVocabulary, FmaTile16ParityAllRowCounts) {
+  // One 16-wide panel: the m == 1 decode kernel (4 chains per lane) and the
+  // linear_sbi_split rows. Every SIMD body agrees with scalar within
+  // tolerance and with the AVX2 body bit for bit, at m == 1 too.
+  Rng rng(4);
+  std::vector<std::int64_t> lens(std::begin(kAwkwardLens),
+                                 std::end(kAwkwardLens));
+  lens.push_back(0);
+  for (std::int64_t n : lens) {
+    for (std::int64_t m = 1; m <= simd::kTileRows; ++m) {
+      const std::int64_t ldx = n + 5;  // non-contiguous rows
+      auto x = random_vec(rng, static_cast<std::size_t>(m * ldx));
+      auto panel = random_vec(rng, static_cast<std::size_t>(n * 16));
+      const std::vector<float> init(static_cast<std::size_t>(m * 16), 0.5f);
+      auto acc0 = init;
+      {
+        simd::IsaOverrideGuard g(simd::KernelIsa::kScalar);
+        simd::fma_tile16(x.data(), ldx, m, panel.data(), n, acc0.data());
+      }
+      std::vector<float> avx2_acc;
+      for (simd::KernelIsa isa : simd_isas()) {
+        auto acc1 = init;
+        {
+          simd::IsaOverrideGuard g(isa);
+          simd::fma_tile16(x.data(), ldx, m, panel.data(), n, acc1.data());
+        }
+        expect_close(acc1, acc0, 1e-5f, 1e-5f);
+        if (isa == simd::KernelIsa::kAvx2) avx2_acc = acc1;
+        int mismatches = 0;
+        for (std::size_t k = 0; k < acc1.size(); ++k) {
+          if (!bitwise_equal(acc1[k], avx2_acc[k])) ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0) << simd::isa_name(isa) << " n=" << n
+                                 << " m=" << m << " vs avx2";
+      }
+    }
+  }
+}
+
+TEST(SimdVocabulary, FmaTile32ParityRowsAndPanels) {
+  // fma_tile32 at rows 1..17 (several row passes on every body) x 1..2
+  // panels: every SIMD body is one std::fmaf chain per output (so AVX-512
+  // equals AVX2 bit for bit), scalar agrees within tolerance, and neither
+  // the lanes of a missing second panel nor the rows past m are written.
+  // n = 257 spans several of the AVX2 body's two-panel blocks.
+  constexpr std::int64_t kMaxRows = 17;
+  constexpr std::int64_t kAccRows = kMaxRows + 2;
   Rng rng(14);
-  for (std::int64_t n : kAwkwardLens) {
-    for (std::int64_t m = 1; m <= simd::kWideTileRows; ++m) {
+  std::vector<std::int64_t> lens(std::begin(kAwkwardLens),
+                                 std::end(kAwkwardLens));
+  lens.push_back(0);
+  lens.push_back(37);
+  for (std::int64_t n : lens) {
+    for (std::int64_t m = 1; m <= kMaxRows; ++m) {
       for (int np : {1, 2}) {
         const std::int64_t ldx = n + 3;  // non-contiguous rows
         auto x = random_vec(rng, static_cast<std::size_t>(m * ldx));
-        auto p0 = random_vec(rng, static_cast<std::size_t>(n * 8));
-        auto p1 = random_vec(rng, static_cast<std::size_t>(n * 8));
+        auto p0 = random_vec(rng, static_cast<std::size_t>(n * 16));
+        auto p1 = random_vec(rng, static_cast<std::size_t>(n * 16));
         const float* panel1 = np == 2 ? p1.data() : nullptr;
-        std::vector<float> acc0(static_cast<std::size_t>(m * 16), 0.5f);
-        auto acc1 = acc0;
+        const std::vector<float> init(static_cast<std::size_t>(kAccRows * 32),
+                                      0.5f);
+        auto untouched = [&](const std::vector<float>& acc) {
+          int written = 0;
+          for (std::int64_t r = 0; r < kAccRows; ++r) {
+            for (std::int64_t j = 0; j < 32; ++j) {
+              if ((r >= m || j >= 16 * np) &&
+                  acc[static_cast<std::size_t>(r * 32 + j)] != 0.5f) {
+                ++written;
+              }
+            }
+          }
+          return written;
+        };
+        auto acc0 = init;
         {
           simd::IsaOverrideGuard g(simd::KernelIsa::kScalar);
-          simd::fma_tile16(x.data(), ldx, m, p0.data(), panel1, n,
+          simd::fma_tile32(x.data(), ldx, m, p0.data(), panel1, n,
                            acc0.data());
         }
-        {
-          simd::IsaOverrideGuard g(simd::KernelIsa::kAvx2);
-          simd::fma_tile16(x.data(), ldx, m, p0.data(), panel1, n,
-                           acc1.data());
-        }
-        expect_close(acc1, acc0, 1e-5f, 1e-5f);
-        for (std::int64_t r = 0; r < m; ++r) {
-          for (std::int64_t j = 8 * np; j < 16; ++j) {  // untouched lanes
-            EXPECT_EQ(acc0[static_cast<std::size_t>(r * 16 + j)], 0.5f);
-            EXPECT_EQ(acc1[static_cast<std::size_t>(r * 16 + j)], 0.5f);
+        EXPECT_EQ(untouched(acc0), 0) << "scalar n=" << n << " m=" << m;
+        for (simd::KernelIsa isa : simd_isas()) {
+          auto acc1 = init;
+          {
+            simd::IsaOverrideGuard g(isa);
+            simd::fma_tile32(x.data(), ldx, m, p0.data(), panel1, n,
+                             acc1.data());
           }
-        }
-        if (!simd::cpu_has_avx2()) continue;
-        for (std::int64_t r = 0; r < m; ++r) {
-          for (std::int64_t j = 0; j < 8 * np; ++j) {
-            const float* panel = j < 8 ? p0.data() : p1.data();
-            const float want = fmaf_chain(x.data() + r * ldx, panel + j % 8,
-                                          8, n, 0.5f);
-            EXPECT_EQ(std::bit_cast<std::uint32_t>(
-                          acc1[static_cast<std::size_t>(r * 16 + j)]),
-                      std::bit_cast<std::uint32_t>(want))
-                << "n=" << n << " m=" << m << " r=" << r << " j=" << j;
+          expect_close(acc1, acc0, 1e-5f, 1e-5f);
+          EXPECT_EQ(untouched(acc1), 0)
+              << simd::isa_name(isa) << " n=" << n << " m=" << m;
+          int mismatches = 0;
+          for (std::int64_t r = 0; r < m; ++r) {
+            for (std::int64_t j = 0; j < 16 * np; ++j) {
+              const float* panel = j < 16 ? p0.data() : p1.data();
+              const float want = fmaf_chain(x.data() + r * ldx, panel + j % 16,
+                                            16, n, 0.5f);
+              if (!bitwise_equal(acc1[static_cast<std::size_t>(r * 32 + j)],
+                                 want)) {
+                ++mismatches;
+              }
+            }
           }
+          EXPECT_EQ(mismatches, 0) << simd::isa_name(isa) << " n=" << n
+                                   << " m=" << m << " np=" << np;
         }
       }
     }
@@ -336,9 +403,23 @@ TEST(SimdKernelParity, LinearFamily) {
         return ys;
       };
       auto scalar = run_all(simd::KernelIsa::kScalar);
-      auto simd_y = run_all(simd::KernelIsa::kAvx2);
-      for (std::size_t k = 0; k < scalar.size(); ++k) {
-        expect_close(simd_y[k], scalar[k], 1e-5f, 1e-5f);
+      std::vector<std::vector<float>> avx2_y;
+      for (simd::KernelIsa isa : simd_isas()) {
+        auto simd_y = run_all(isa);
+        for (std::size_t k = 0; k < scalar.size(); ++k) {
+          expect_close(simd_y[k], scalar[k], 1e-5f, 1e-5f);
+        }
+        // The multi-row tiles are the only AVX-512 bodies, and they keep the
+        // AVX2 numerics: the whole family matches AVX2 bit for bit.
+        if (isa == simd::KernelIsa::kAvx2) avx2_y = simd_y;
+        for (std::size_t k = 0; k < scalar.size(); ++k) {
+          int mismatches = 0;
+          for (std::size_t i = 0; i < simd_y[k].size(); ++i) {
+            if (!bitwise_equal(simd_y[k][i], avx2_y[k][i])) ++mismatches;
+          }
+          EXPECT_EQ(mismatches, 0) << simd::isa_name(isa) << " kernel " << k
+                                   << " m=" << s.m << " out=" << s.out;
+        }
       }
     }
   }
@@ -346,16 +427,17 @@ TEST(SimdKernelParity, LinearFamily) {
 
 TEST(SimdKernelParity, LinearSbiMultiRowIsOneFmaChainPerOutput) {
   // Every multi-row linear_sbi output is one sequential FMA chain over the
-  // input index: on AVX2 it equals a std::fmaf chain from 0 plus the bias,
-  // bitwise, and on every path a row's result does not depend on the other
-  // rows of the call. m covers 1..2 full 6-row tiles with every remainder,
-  // out covers odd panel counts, a tail panel and out < 8.
+  // input index: on AVX2 and AVX-512 it equals a std::fmaf chain from 0
+  // plus the bias, bitwise, and on every path a row's result does not
+  // depend on the other rows of the call. m covers 1..2 full 6- and 8-row
+  // tiles with every remainder, out covers odd panel counts (and odd panel
+  // pairs), a tail panel and out < 16.
   Rng rng(15);
   std::vector<std::int64_t> ms;
-  for (std::int64_t m = 2; m <= 13; ++m) ms.push_back(m);
+  for (std::int64_t m = 2; m <= 17; ++m) ms.push_back(m);
   ms.push_back(32);
   ms.push_back(33);
-  for (std::int64_t out : {7, 8, 13, 16, 24, 36, 64}) {
+  for (std::int64_t out : {7, 8, 13, 16, 24, 36, 64, 80}) {
     for (std::int64_t in : {1, 8, 37, 257}) {
       auto w = random_vec(rng, static_cast<std::size_t>(out * in), 0.1f);
       auto bias = random_vec(rng, static_cast<std::size_t>(out));
@@ -366,9 +448,10 @@ TEST(SimdKernelParity, LinearSbiMultiRowIsOneFmaChainPerOutput) {
           std::span<const float> b = with_bias ? std::span<const float>(bias)
                                                : std::span<const float>();
           for (simd::KernelIsa isa :
-               {simd::KernelIsa::kScalar, simd::KernelIsa::kAvx2}) {
+               {simd::KernelIsa::kScalar, simd::KernelIsa::kAvx2,
+                simd::KernelIsa::kAvx512}) {
             simd::IsaOverrideGuard g(isa);
-            const bool avx2 = simd::active_isa() == simd::KernelIsa::kAvx2;
+            const bool fused = simd::active_isa() != simd::KernelIsa::kScalar;
             std::vector<float> y(static_cast<std::size_t>(m * out));
             linear_sbi(x, packed, b, y, m);
             std::vector<float> ref(y.size());
@@ -387,7 +470,7 @@ TEST(SimdKernelParity, LinearSbiMultiRowIsOneFmaChainPerOutput) {
                         y2[static_cast<std::size_t>(o)])) {
                   ++row_mismatches;
                 }
-                if (avx2) {
+                if (fused) {
                   const float want =
                       fmaf_chain(xr, w.data() + o * in, 1, in, 0.0f) +
                       (with_bias ? bias[static_cast<std::size_t>(o)] : 0.0f);
