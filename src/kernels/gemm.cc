@@ -120,8 +120,11 @@ std::span<const float> PackedWeight::panel(std::int64_t panel_idx) const {
 }
 
 static_assert(PackedWeight::kPanelOut == 16,
-              "SBI panels feed simd::fma_tile16/fma_tile32: 16 output lanes "
-              "per input index is one 64-byte cache line of FP32");
+              "SBI panels feed simd::fma_tile32: 16 output lanes per input "
+              "index is one 64-byte cache line of FP32");
+
+// Floats per row of a simd::fma_tile32 accumulator: two panels.
+constexpr std::int64_t kTileLanes = 2 * PackedWeight::kPanelOut;
 
 void linear_sbi(std::span<const float> x, const PackedWeight& w,
                 std::span<const float> bias, std::span<float> y,
@@ -132,41 +135,34 @@ void linear_sbi(std::span<const float> x, const PackedWeight& w,
                     y.size(), m, in, out);
   constexpr std::int64_t kP = PackedWeight::kPanelOut;
 
-  // One work item is one panel at m == 1 and a pair of panels otherwise.
-  // m == 1 (decode) streams each panel once through fma_tile16's 4-chain
-  // row kernel. m >= 2 runs all m rows over the pair through fma_tile32,
-  // whose row passes (8 rows on AVX-512, 6 on AVX2) re-read the pair from
-  // cache after the first. Every output is then one sequential FMA chain
-  // over the input index, whatever m and the ISA are.
-  const std::int64_t item_panels = m == 1 ? 1 : 2;
-  const std::int64_t acc_ld = item_panels * kP;
+  // One work item is a pair of panels (the last one alone when the panel
+  // count is odd) and all m rows, through one fma_tile32 call: decode at
+  // m == 1 streams the pair once with the tile's prefetch, and larger m
+  // re-reads it from cache after the first row pass (8 rows on AVX-512, 6
+  // on AVX2). Every output is one sequential FMA chain over the input
+  // index, so a row's result does not depend on m or on the other rows.
   auto run_item = [&](std::int64_t t, float* acc) {
-    const std::int64_t p = t * item_panels;
-    const std::int64_t np = std::min(item_panels, w.num_panels() - p);
+    const std::int64_t p = 2 * t;
+    const bool pair = p + 1 < w.num_panels();
     const std::int64_t o_begin = p * kP;
-    const std::int64_t o_count = std::min(np * kP, out - o_begin);
-    std::fill_n(acc, m * acc_ld, 0.0f);
-    if (m == 1) {
-      simd::fma_tile16(x.data(), in, 1, w.panel(p).data(), in, acc);
-    } else {
-      simd::fma_tile32(x.data(), in, m, w.panel(p).data(),
-                       np == 2 ? w.panel(p + 1).data() : nullptr, in, acc);
-    }
+    const std::int64_t o_count = std::min(kTileLanes, out - o_begin);
+    std::fill_n(acc, m * kTileLanes, 0.0f);
+    simd::fma_tile32(x.data(), in, m, w.panel(p).data(),
+                     pair ? w.panel(p + 1).data() : nullptr, in, acc);
     for (std::int64_t r = 0; r < m; ++r) {
       float* yr = y.data() + r * out + o_begin;
-      const float* ar = acc + r * acc_ld;
+      const float* ar = acc + r * kTileLanes;
       for (std::int64_t j = 0; j < o_count; ++j) {
         yr[j] = ar[j] + (bias.empty() ? 0.0f : bias[o_begin + j]);
       }
     }
   };
 
-  const std::int64_t items = (w.num_panels() + item_panels - 1) / item_panels;
+  const std::int64_t items = (w.num_panels() + 1) / 2;
   ThreadPool::global().parallel_for(
-      0, static_cast<std::size_t>(items),
-      grain_for(2 * m * item_panels * kP * in),
+      0, static_cast<std::size_t>(items), grain_for(2 * m * kTileLanes * in),
       [&](std::size_t tb, std::size_t te) {
-        std::vector<float> acc(static_cast<std::size_t>(m * acc_ld));
+        std::vector<float> acc(static_cast<std::size_t>(m * kTileLanes));
         for (std::size_t t = tb; t < te; ++t) {
           run_item(static_cast<std::int64_t>(t), acc.data());
         }
@@ -187,32 +183,29 @@ void linear_sbi_split(std::span<const float> x, const PackedWeight& w,
   const std::int64_t num_panels = w.num_panels();
 
   // Kernel 1: each (panel, split) pair reduces its input slice into a
-  // private partial buffer — (num_panels * input_splits) parallel tiles.
+  // private partial buffer — (num_panels * input_splits) parallel tiles, each
+  // one single-panel fma_tile32 call over all m rows.
   std::vector<float> partials(
       static_cast<std::size_t>(input_splits * m * num_panels * kP), 0.0f);
   const std::int64_t chunk = (in + input_splits - 1) / input_splits;
   ThreadPool::global().parallel_for(
       0, static_cast<std::size_t>(num_panels * input_splits),
       grain_for(2 * m * kP * chunk), [&](std::size_t tb, std::size_t te) {
+        std::vector<float> acc(static_cast<std::size_t>(m * kTileLanes));
         for (std::size_t t = tb; t < te; ++t) {
           const std::int64_t p = static_cast<std::int64_t>(t) / input_splits;
           const std::int64_t s = static_cast<std::int64_t>(t) % input_splits;
           const std::int64_t i_begin = s * chunk;
           const std::int64_t i_end = std::min(in, i_begin + chunk);
           if (i_begin >= i_end) continue;
-          const float* panel = w.panel(p).data();
-          for (std::int64_t r0 = 0; r0 < m; r0 += simd::kTileRows) {
-            const std::int64_t mm =
-                std::min<std::int64_t>(simd::kTileRows, m - r0);
-            float acc[simd::kTileRows * kP] = {};
-            simd::fma_tile16(x.data() + r0 * in + i_begin, in, mm,
-                             panel + i_begin * kP, i_end - i_begin, acc);
-            for (std::int64_t rr = 0; rr < mm; ++rr) {
-              std::memcpy(partials.data() +
-                              ((s * m + r0 + rr) * num_panels + p) * kP,
-                          acc + rr * kP,
-                          static_cast<std::size_t>(kP) * sizeof(float));
-            }
+          std::fill(acc.begin(), acc.end(), 0.0f);
+          simd::fma_tile32(x.data() + i_begin, in, m,
+                           w.panel(p).data() + i_begin * kP, nullptr,
+                           i_end - i_begin, acc.data());
+          for (std::int64_t r = 0; r < m; ++r) {
+            std::memcpy(partials.data() + ((s * m + r) * num_panels + p) * kP,
+                        acc.data() + r * kTileLanes,
+                        static_cast<std::size_t>(kP) * sizeof(float));
           }
         }
       });

@@ -58,12 +58,14 @@ class PackedWeight {
 };
 
 // SBI-GeMM: optimized for small m. Uses PackedWeight panels and
-// parallelizes across output panels via the global thread pool. m == 1
-// streams each panel once with a 4-chain decode kernel (simd::fma_tile16);
-// m >= 2 runs register tiles (simd::fma_tile32) of 8 rows x 32 outputs on
-// AVX-512 and 6 rows x 16 outputs on AVX2, each output one sequential FMA
-// chain over the input index, so a row's result does not depend on the
-// other rows of the call or on the ISA's tile shape.
+// parallelizes across pairs of output panels via the global thread pool.
+// Every m, decode's m == 1 included, runs the same register tile
+// (simd::fma_tile32) of up to 8 rows x 32 outputs on AVX-512 and 6 rows x
+// 16 outputs on AVX2, streaming each pair of panels once with prefetch.
+// Each output is one sequential FMA chain over the input index, so a row's
+// result does not depend on the other rows of the call, on m or on the
+// ISA's tile shape: a sequence decoded alone gets the same bits as in a
+// batch.
 void linear_sbi(std::span<const float> x, const PackedWeight& w,
                 std::span<const float> bias, std::span<float> y,
                 std::int64_t m);

@@ -23,6 +23,9 @@ namespace {
 
 std::atomic<KernelIsa> g_override{KernelIsa::kAuto};
 
+// Floats between the acc rows of a tile call: two 16-lane panels.
+constexpr std::int64_t kAccLd = 32;
+
 // Rows of one AVX2 tile pass: 6 rows x 2 halves = 12 ymm accumulators, plus
 // 2 panel registers and 1 broadcast.
 constexpr std::int64_t kAvx2TileRows = 6;
@@ -153,11 +156,10 @@ void gelu_bias_scalar(const float* x, const float* bias, float* y,
   }
 }
 
-// The tile twin: acc rows are ldacc floats apart; panel1 == nullptr covers
-// 16 lanes. fma_tile16 (ldacc 16) and fma_tile32 (ldacc 32) share it.
+// The tile twin: panel1 == nullptr covers 16 lanes.
 void fma_tile_scalar(const float* x, std::int64_t ldx, std::int64_t m,
                      const float* panel0, const float* panel1, std::int64_t n,
-                     float* acc, std::int64_t ldacc) {
+                     float* acc) {
   const std::int64_t lanes = panel1 ? 32 : 16;
   for (std::int64_t r = 0; r < m; ++r) {
     const float* xr = x + r * ldx;
@@ -165,7 +167,7 @@ void fma_tile_scalar(const float* x, std::int64_t ldx, std::int64_t m,
     // neither x nor the panels, so it would reload and store acc on every
     // input index.
     float a[32];
-    for (std::int64_t j = 0; j < lanes; ++j) a[j] = acc[r * ldacc + j];
+    for (std::int64_t j = 0; j < lanes; ++j) a[j] = acc[r * kAccLd + j];
     for (std::int64_t i = 0; i < n; ++i) {
       const float xv = xr[i];
       const float* w0 = panel0 + i * 16;
@@ -175,7 +177,7 @@ void fma_tile_scalar(const float* x, std::int64_t ldx, std::int64_t m,
         for (std::int64_t j = 0; j < 16; ++j) a[16 + j] += xv * w1[j];
       }
     }
-    for (std::int64_t j = 0; j < lanes; ++j) acc[r * ldacc + j] = a[j];
+    for (std::int64_t j = 0; j < lanes; ++j) acc[r * kAccLd + j] = a[j];
   }
 }
 
@@ -457,56 +459,14 @@ DSINFER_AVX2 void gelu_bias_avx2(const float* x, const float* bias, float* y,
   for (; i < n; ++i) y[i] = gelu_one(x[i] + (bias ? bias[i] : 0.0f));
 }
 
-// m == 1 specialization: a single row cannot fill the FMA pipeline with one
-// accumulator chain, so the input dimension is unrolled 4x into independent
-// chains per 8-lane half of the 16-wide panel (the decode-path workhorse of
-// linear_sbi). Each lane is (c0 + c1) + (c2 + c3) over its own four chains.
-DSINFER_AVX2 void fma_tile16_m1_avx2(const float* x, const float* panel,
-                                     std::int64_t n, float* acc) {
-  __m256 a0[2], a1[2], a2[2], a3[2];
-#pragma GCC unroll 2
-  for (int h = 0; h < 2; ++h) {
-    a0[h] = _mm256_loadu_ps(acc + 8 * h);
-    a1[h] = a2[h] = a3[h] = _mm256_setzero_ps();
-  }
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256 x0 = _mm256_broadcast_ss(x + i);
-    const __m256 x1 = _mm256_broadcast_ss(x + i + 1);
-    const __m256 x2 = _mm256_broadcast_ss(x + i + 2);
-    const __m256 x3 = _mm256_broadcast_ss(x + i + 3);
-#pragma GCC unroll 2
-    for (int h = 0; h < 2; ++h) {
-      const float* p = panel + i * 16 + 8 * h;
-      a0[h] = _mm256_fmadd_ps(x0, _mm256_loadu_ps(p), a0[h]);
-      a1[h] = _mm256_fmadd_ps(x1, _mm256_loadu_ps(p + 16), a1[h]);
-      a2[h] = _mm256_fmadd_ps(x2, _mm256_loadu_ps(p + 32), a2[h]);
-      a3[h] = _mm256_fmadd_ps(x3, _mm256_loadu_ps(p + 48), a3[h]);
-    }
-  }
-  for (; i < n; ++i) {
-    const __m256 xv = _mm256_broadcast_ss(x + i);
-#pragma GCC unroll 2
-    for (int h = 0; h < 2; ++h) {
-      a0[h] = _mm256_fmadd_ps(xv, _mm256_loadu_ps(panel + i * 16 + 8 * h),
-                              a0[h]);
-    }
-  }
-#pragma GCC unroll 2
-  for (int h = 0; h < 2; ++h) {
-    _mm256_storeu_ps(acc + 8 * h, _mm256_add_ps(_mm256_add_ps(a0[h], a1[h]),
-                                                _mm256_add_ps(a2[h], a3[h])));
-  }
-}
-
-// The multi-row tiles prefetch the panel line kPrefetchLines input indexes
-// ahead. With the weights in DRAM, a tile pass that covers a panel once is
-// bound by how many line fills are in flight, and the L2 streamer alone
-// keeps too few: on a shared Sapphire Rapids core, 32 lines (2 KB) ahead
-// cut AVX-512 linear_sbi over a DRAM-resident 403 MB weight set from 37-47
-// to 30-35 ms at m = 8. The address is formed as an integer: near the
-// panel's end it lies past the buffer, which a prefetch may touch (it never
-// faults) but a pointer may not point to.
+// The tiles prefetch the panel line kPrefetchLines input indexes ahead.
+// With the weights in DRAM, a tile pass that covers a panel once is bound
+// by how many line fills are in flight, and the L2 streamer alone keeps too
+// few: on a shared Sapphire Rapids core, 32 lines (2 KB) ahead cut AVX-512
+// linear_sbi over a DRAM-resident 403 MB weight set from 37-47 to 30-35 ms
+// at m = 8. The address is formed as an integer: near the panel's end it
+// lies past the buffer, which a prefetch may touch (it never faults) but a
+// pointer may not point to.
 constexpr std::int64_t kPrefetchLines = 32;
 
 DSINFER_AVX2 inline void prefetch_ahead(const float* panel, std::int64_t i) {
@@ -516,16 +476,16 @@ DSINFER_AVX2 inline void prefetch_ahead(const float* panel, std::int64_t i) {
                _MM_HINT_T0);
 }
 
-// The AVX2 multi-row tile: M rows x one 16-wide panel (two ymm halves of
+// The AVX2 tile: M rows x one 16-wide panel (two ymm halves of
 // the same cache line) of accumulators stay in registers (the unroll
 // pragmas make GCC scalarize the arrays; without them -O2 keeps them on the
 // stack and every FMA round-trips through memory). Per input index: 2
 // half-panel loads, M broadcasts, 2M FMAs, each accumulator one sequential
-// chain. acc rows are ldacc floats apart.
+// chain.
 template <int M>
 DSINFER_AVX2 void fma_tile_m_avx2(const float* x, std::int64_t ldx,
                                   const float* panel, std::int64_t n,
-                                  float* acc, std::int64_t ldacc) {
+                                  float* acc) {
   const float* xr[M];
   __m256 a[M][2];
 #pragma GCC unroll 6
@@ -533,7 +493,7 @@ DSINFER_AVX2 void fma_tile_m_avx2(const float* x, std::int64_t ldx,
     xr[r] = x + r * ldx;
 #pragma GCC unroll 2
     for (int h = 0; h < 2; ++h) {
-      a[r][h] = _mm256_loadu_ps(acc + r * ldacc + h * 8);
+      a[r][h] = _mm256_loadu_ps(acc + r * kAccLd + h * 8);
     }
   }
   for (std::int64_t i = 0; i < n; ++i) {
@@ -551,7 +511,7 @@ DSINFER_AVX2 void fma_tile_m_avx2(const float* x, std::int64_t ldx,
   for (int r = 0; r < M; ++r) {
 #pragma GCC unroll 2
     for (int h = 0; h < 2; ++h) {
-      _mm256_storeu_ps(acc + r * ldacc + h * 8, a[r][h]);
+      _mm256_storeu_ps(acc + r * kAccLd + h * 8, a[r][h]);
     }
   }
 }
@@ -566,15 +526,14 @@ constexpr std::int64_t kAvx2PairBlock = 32;
 template <int M>
 DSINFER_AVX2 void fma_rows_avx2(const float* x, std::int64_t ldx,
                                 const float* panel0, const float* panel1,
-                                std::int64_t n, float* acc,
-                                std::int64_t ldacc) {
+                                std::int64_t n, float* acc) {
   if (panel1 == nullptr) {
-    return fma_tile_m_avx2<M>(x, ldx, panel0, n, acc, ldacc);
+    return fma_tile_m_avx2<M>(x, ldx, panel0, n, acc);
   }
   for (std::int64_t i = 0; i < n; i += kAvx2PairBlock) {
     const std::int64_t nb = std::min(kAvx2PairBlock, n - i);
-    fma_tile_m_avx2<M>(x + i, ldx, panel0 + i * 16, nb, acc, ldacc);
-    fma_tile_m_avx2<M>(x + i, ldx, panel1 + i * 16, nb, acc + 16, ldacc);
+    fma_tile_m_avx2<M>(x + i, ldx, panel0 + i * 16, nb, acc);
+    fma_tile_m_avx2<M>(x + i, ldx, panel1 + i * 16, nb, acc + 16);
   }
 }
 
@@ -582,28 +541,28 @@ DSINFER_AVX2 void fma_rows_avx2(const float* x, std::int64_t ldx,
 DSINFER_AVX2 void fma_tile_avx2(const float* x, std::int64_t ldx,
                                 std::int64_t m, const float* panel0,
                                 const float* panel1, std::int64_t n,
-                                float* acc, std::int64_t ldacc) {
+                                float* acc) {
   for (std::int64_t r0 = 0; r0 < m; r0 += kAvx2TileRows) {
     const float* xs = x + r0 * ldx;
-    float* as = acc + r0 * ldacc;
+    float* as = acc + r0 * kAccLd;
     switch (std::min(kAvx2TileRows, m - r0)) {
       case 1:
-        fma_rows_avx2<1>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_rows_avx2<1>(xs, ldx, panel0, panel1, n, as);
         break;
       case 2:
-        fma_rows_avx2<2>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_rows_avx2<2>(xs, ldx, panel0, panel1, n, as);
         break;
       case 3:
-        fma_rows_avx2<3>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_rows_avx2<3>(xs, ldx, panel0, panel1, n, as);
         break;
       case 4:
-        fma_rows_avx2<4>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_rows_avx2<4>(xs, ldx, panel0, panel1, n, as);
         break;
       case 5:
-        fma_rows_avx2<5>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_rows_avx2<5>(xs, ldx, panel0, panel1, n, as);
         break;
       default:
-        fma_rows_avx2<6>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_rows_avx2<6>(xs, ldx, panel0, panel1, n, as);
         break;
     }
   }
@@ -652,19 +611,18 @@ DSINFER_AVX2 void quantize_i8_avx2(const float* x, float inv_scale,
   }
 }
 
-// ---- AVX-512 path (multi-row tiles only) -------------------------------
+// ---- AVX-512 path (the tile only) --------------------------------------
 
 #define DSINFER_AVX512 __attribute__((target("avx512f,avx2,fma")))
 
 // The AVX-512 tile: M rows x NP 16-wide panels, one zmm accumulator each
 // (8 x 2 = 16 of the 32 zmm registers), in one streaming pass. Per input
 // index: NP full-line panel loads, M broadcasts, M*NP FMAs, each
-// accumulator one sequential chain. acc rows are ldacc floats apart.
+// accumulator one sequential chain.
 template <int M, int NP>
 DSINFER_AVX512 void fma_tile_m_avx512(const float* x, std::int64_t ldx,
                                       const float* panel0, const float* panel1,
-                                      std::int64_t n, float* acc,
-                                      std::int64_t ldacc) {
+                                      std::int64_t n, float* acc) {
   const float* xr[M];
   __m512 a[M][NP];
 #pragma GCC unroll 8
@@ -672,7 +630,7 @@ DSINFER_AVX512 void fma_tile_m_avx512(const float* x, std::int64_t ldx,
     xr[r] = x + r * ldx;
 #pragma GCC unroll 2
     for (int q = 0; q < NP; ++q) {
-      a[r][q] = _mm512_loadu_ps(acc + r * ldacc + q * 16);
+      a[r][q] = _mm512_loadu_ps(acc + r * kAccLd + q * 16);
     }
   }
   for (std::int64_t i = 0; i < n; ++i) {
@@ -692,7 +650,7 @@ DSINFER_AVX512 void fma_tile_m_avx512(const float* x, std::int64_t ldx,
   for (int r = 0; r < M; ++r) {
 #pragma GCC unroll 2
     for (int q = 0; q < NP; ++q) {
-      _mm512_storeu_ps(acc + r * ldacc + q * 16, a[r][q]);
+      _mm512_storeu_ps(acc + r * kAccLd + q * 16, a[r][q]);
     }
   }
 }
@@ -702,34 +660,34 @@ template <int NP>
 DSINFER_AVX512 void fma_tile_avx512(const float* x, std::int64_t ldx,
                                     std::int64_t m, const float* panel0,
                                     const float* panel1, std::int64_t n,
-                                    float* acc, std::int64_t ldacc) {
+                                    float* acc) {
   for (std::int64_t r0 = 0; r0 < m; r0 += kAvx512TileRows) {
     const float* xs = x + r0 * ldx;
-    float* as = acc + r0 * ldacc;
+    float* as = acc + r0 * kAccLd;
     switch (std::min(kAvx512TileRows, m - r0)) {
       case 1:
-        fma_tile_m_avx512<1, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_tile_m_avx512<1, NP>(xs, ldx, panel0, panel1, n, as);
         break;
       case 2:
-        fma_tile_m_avx512<2, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_tile_m_avx512<2, NP>(xs, ldx, panel0, panel1, n, as);
         break;
       case 3:
-        fma_tile_m_avx512<3, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_tile_m_avx512<3, NP>(xs, ldx, panel0, panel1, n, as);
         break;
       case 4:
-        fma_tile_m_avx512<4, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_tile_m_avx512<4, NP>(xs, ldx, panel0, panel1, n, as);
         break;
       case 5:
-        fma_tile_m_avx512<5, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_tile_m_avx512<5, NP>(xs, ldx, panel0, panel1, n, as);
         break;
       case 6:
-        fma_tile_m_avx512<6, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_tile_m_avx512<6, NP>(xs, ldx, panel0, panel1, n, as);
         break;
       case 7:
-        fma_tile_m_avx512<7, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_tile_m_avx512<7, NP>(xs, ldx, panel0, panel1, n, as);
         break;
       default:
-        fma_tile_m_avx512<8, NP>(xs, ldx, panel0, panel1, n, as, ldacc);
+        fma_tile_m_avx512<8, NP>(xs, ldx, panel0, panel1, n, as);
         break;
     }
   }
@@ -873,29 +831,17 @@ void gelu_bias(const float* x, const float* bias, float* y, std::int64_t n) {
   gelu_bias_scalar(x, bias, y, n);
 }
 
-void fma_tile16(const float* x, std::int64_t ldx, std::int64_t m,
-                const float* panel, std::int64_t n, float* acc) {
-#if defined(DSINFER_SIMD_X86)
-  if (m == 1 && use_avx2()) return fma_tile16_m1_avx2(x, panel, n, acc);
-  if (use_avx512()) {
-    return fma_tile_avx512<1>(x, ldx, m, panel, nullptr, n, acc, 16);
-  }
-  if (use_avx2()) return fma_tile_avx2(x, ldx, m, panel, nullptr, n, acc, 16);
-#endif
-  fma_tile_scalar(x, ldx, m, panel, nullptr, n, acc, 16);
-}
-
 void fma_tile32(const float* x, std::int64_t ldx, std::int64_t m,
                 const float* panel0, const float* panel1, std::int64_t n,
                 float* acc) {
 #if defined(DSINFER_SIMD_X86)
   if (use_avx512()) {
-    return panel1 ? fma_tile_avx512<2>(x, ldx, m, panel0, panel1, n, acc, 32)
-                  : fma_tile_avx512<1>(x, ldx, m, panel0, nullptr, n, acc, 32);
+    return panel1 ? fma_tile_avx512<2>(x, ldx, m, panel0, panel1, n, acc)
+                  : fma_tile_avx512<1>(x, ldx, m, panel0, nullptr, n, acc);
   }
-  if (use_avx2()) return fma_tile_avx2(x, ldx, m, panel0, panel1, n, acc, 32);
+  if (use_avx2()) return fma_tile_avx2(x, ldx, m, panel0, panel1, n, acc);
 #endif
-  fma_tile_scalar(x, ldx, m, panel0, panel1, n, acc, 32);
+  fma_tile_scalar(x, ldx, m, panel0, panel1, n, acc);
 }
 
 std::int32_t dot_i8(const std::int8_t* a, const std::int8_t* b,

@@ -2,14 +2,14 @@
 // in src/kernels is written against.
 //
 // Each primitive has a portable scalar loop and an AVX2+FMA intrinsics
-// version; the multi-row SBI-GeMM tiles (fma_tile16 at m >= 2, fma_tile32)
-// also have an AVX-512 body. Every SIMD body is compiled with per-function target
-// attributes, so no special build flags are needed, and dispatched per call
-// on the active ISA. Detection is compile-time when the TU is built with
-// that baseline (`__AVX2__`, `__AVX512F__`) and cpuid-based otherwise; a
-// runtime override keeps every path reachable on any host that supports it
-// for A/B benchmarking (the `kernel_regression` bench and the SIMD parity
-// tests both rely on it).
+// version; the SBI-GeMM tile (fma_tile32) also has an AVX-512 body. Every
+// SIMD body is compiled with per-function target attributes, so no special
+// build flags are needed, and dispatched per call on the active ISA.
+// Detection is compile-time when the TU is built with that baseline
+// (`__AVX2__`, `__AVX512F__`) and cpuid-based otherwise; a runtime override
+// keeps every path reachable on any host that supports it for A/B
+// benchmarking (the `kernel_regression` bench and the SIMD parity tests
+// both rely on it).
 //
 // Primitives take raw pointers + lengths rather than spans: they are inner
 // loops, and every call covers a whole contiguous range so the per-call
@@ -27,7 +27,7 @@ namespace dsinfer::kernels::simd {
 //  kAvx2   — request AVX2 (the 256-bit bodies, also on an AVX-512 host);
 //            silently degrades to scalar if unavailable so that policy
 //            sweeps stay runnable on any host.
-//  kAvx512 — request the AVX-512 tile kernels; every other primitive runs
+//  kAvx512 — request the AVX-512 tile kernel; every other primitive runs
 //            its AVX2 body. Degrades to AVX2, then scalar, if unavailable.
 enum class KernelIsa : int { kAuto = 0, kScalar = 1, kAvx2 = 2, kAvx512 = 3 };
 
@@ -103,39 +103,27 @@ float exp_sum_inplace(float* x, std::int64_t n, float bias);
 // a few ULP, so fused/unfused parity tolerances down to ~1e-6 hold.
 void gelu_bias(const float* x, const float* bias, float* y, std::int64_t n);
 
-// ---- Register-blocked tile kernels (SBI-GeMM inner loops) --------------
+// ---- Register-blocked tile kernel (SBI-GeMM inner loop) ---------------
 //
-// The tiles read PackedWeight panels: 16 output lanes contiguous per input
+// The tile reads PackedWeight panels: 16 output lanes contiguous per input
 // index, so one input index of a panel is one 64-byte cache line (one zmm
-// load on AVX-512, two ymm halves on AVX2). Every multi-row output is one
-// sequential FMA chain over the input index, so on the SIMD paths it equals
-// a std::fmaf chain starting from acc, whatever the ISA, the tile shape or
-// the other rows of the call.
-
-// Max rows an fma_tile16 call may cover. fma_tile16 is the m == 1 decode
-// kernel of linear_sbi (one row, its input index unrolled 4x into
-// independent accumulator chains summed at the end; the AVX2 body under
-// both SIMD ISAs) and the inner loop of linear_sbi_split; at m >= 2 its
-// rows are sequential FMA chains.
-inline constexpr std::int64_t kTileRows = 4;
-
-// acc[r*16 + j] += sum_{i<n} x[r*ldx + i] * panel[i*16 + j]  for r < m.
-// Requires 1 <= m <= kTileRows; acc is row-major [m, 16].
-void fma_tile16(const float* x, std::int64_t ldx, std::int64_t m,
-                const float* panel, std::int64_t n, float* acc);
+// load on AVX-512, two ymm halves on AVX2).
 
 // acc[r*32 + q*16 + j] += sum_{i<n} x[r*ldx + i] * panel_q[i*16 + j]
 //   for r < m, q < (panel1 ? 2 : 1), with panel_0 = panel0, panel_1 = panel1.
 //
-// Every output is one sequential FMA chain over i, also at m == 1. Requires
-// m >= 1; acc is row-major [m, 32] (lanes 16..31 untouched when panel1 is
-// nullptr). The bodies cover the rows in passes, the later passes
-// re-reading the panels from cache. AVX-512: 8-row passes over both panels
-// at once (16 zmm accumulators; per input index 2 panel loads and up to 8
-// broadcasts for 16 FMAs), so batched decode at m <= 8 streams each pair of
-// panels once. AVX2: 6-row passes (12 ymm accumulators over the two halves
-// of a panel line) that alternate between the two panels every block of
-// input indexes, so both panels stream at once.
+// Requires m >= 1; acc is row-major [m, 32] (lanes 16..31 untouched when
+// panel1 is nullptr). On the SIMD paths every output is one sequential FMA
+// chain over i starting from acc, so it equals a std::fmaf chain whatever
+// the ISA, m or the other rows of the call: m == 1 decode gives the same
+// bits as that row inside a batch. The bodies cover the rows in passes, the
+// later passes re-reading the panels from cache, and prefetch the panel
+// lines ahead of the first. AVX-512: passes of up to 8 rows over both
+// panels at once (16 zmm accumulators; per input index 2 panel loads and up
+// to 8 broadcasts for 16 FMAs), so decode at m <= 8 streams each pair of
+// panels once. AVX2: passes of up to 6 rows (12 ymm accumulators over the
+// two halves of a panel line) that alternate between the two panels every
+// block of input indexes, so both panels stream at once.
 void fma_tile32(const float* x, std::int64_t ldx, std::int64_t m,
                 const float* panel0, const float* panel1, std::int64_t n,
                 float* acc);

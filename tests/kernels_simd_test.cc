@@ -8,6 +8,7 @@
 // scalar-only kernel library (DSINFER_SIMD_SCALAR_ONLY), where
 // cpu_has_avx2() is false and the parity runs degenerate to scalar-vs-scalar
 // bit-exact checks — proving the portable fallback stands alone.
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -214,51 +215,14 @@ float fmaf_chain(const float* x, const float* w, std::int64_t wstride,
   return acc;
 }
 
-TEST(SimdVocabulary, FmaTile16ParityAllRowCounts) {
-  // One 16-wide panel: the m == 1 decode kernel (4 chains per lane) and the
-  // linear_sbi_split rows. Every SIMD body agrees with scalar within
-  // tolerance and with the AVX2 body bit for bit, at m == 1 too.
-  Rng rng(4);
-  std::vector<std::int64_t> lens(std::begin(kAwkwardLens),
-                                 std::end(kAwkwardLens));
-  lens.push_back(0);
-  for (std::int64_t n : lens) {
-    for (std::int64_t m = 1; m <= simd::kTileRows; ++m) {
-      const std::int64_t ldx = n + 5;  // non-contiguous rows
-      auto x = random_vec(rng, static_cast<std::size_t>(m * ldx));
-      auto panel = random_vec(rng, static_cast<std::size_t>(n * 16));
-      const std::vector<float> init(static_cast<std::size_t>(m * 16), 0.5f);
-      auto acc0 = init;
-      {
-        simd::IsaOverrideGuard g(simd::KernelIsa::kScalar);
-        simd::fma_tile16(x.data(), ldx, m, panel.data(), n, acc0.data());
-      }
-      std::vector<float> avx2_acc;
-      for (simd::KernelIsa isa : simd_isas()) {
-        auto acc1 = init;
-        {
-          simd::IsaOverrideGuard g(isa);
-          simd::fma_tile16(x.data(), ldx, m, panel.data(), n, acc1.data());
-        }
-        expect_close(acc1, acc0, 1e-5f, 1e-5f);
-        if (isa == simd::KernelIsa::kAvx2) avx2_acc = acc1;
-        int mismatches = 0;
-        for (std::size_t k = 0; k < acc1.size(); ++k) {
-          if (!bitwise_equal(acc1[k], avx2_acc[k])) ++mismatches;
-        }
-        EXPECT_EQ(mismatches, 0) << simd::isa_name(isa) << " n=" << n
-                                 << " m=" << m << " vs avx2";
-      }
-    }
-  }
-}
-
 TEST(SimdVocabulary, FmaTile32ParityRowsAndPanels) {
   // fma_tile32 at rows 1..17 (several row passes on every body) x 1..2
-  // panels: every SIMD body is one std::fmaf chain per output (so AVX-512
-  // equals AVX2 bit for bit), scalar agrees within tolerance, and neither
-  // the lanes of a missing second panel nor the rows past m are written.
-  // n = 257 spans several of the AVX2 body's two-panel blocks.
+  // panels, n = 0 and awkward n: every SIMD body is one std::fmaf chain per
+  // output, m == 1 included (so AVX-512 equals AVX2 bit for bit), scalar
+  // agrees within tolerance, and neither the lanes of a missing second
+  // panel nor the rows past m are written. The one-panel case is the
+  // linear_sbi_split tile and the odd tail panel of linear_sbi. n = 257
+  // spans several of the AVX2 body's two-panel blocks.
   constexpr std::int64_t kMaxRows = 17;
   constexpr std::int64_t kAccRows = kMaxRows + 2;
   Rng rng(14);
@@ -295,6 +259,7 @@ TEST(SimdVocabulary, FmaTile32ParityRowsAndPanels) {
                            acc0.data());
         }
         EXPECT_EQ(untouched(acc0), 0) << "scalar n=" << n << " m=" << m;
+        std::vector<float> avx2_acc;
         for (simd::KernelIsa isa : simd_isas()) {
           auto acc1 = init;
           {
@@ -305,6 +270,14 @@ TEST(SimdVocabulary, FmaTile32ParityRowsAndPanels) {
           expect_close(acc1, acc0, 1e-5f, 1e-5f);
           EXPECT_EQ(untouched(acc1), 0)
               << simd::isa_name(isa) << " n=" << n << " m=" << m;
+          if (isa == simd::KernelIsa::kAvx2) avx2_acc = acc1;
+          int isa_mismatches = 0;
+          for (std::size_t k = 0; k < acc1.size(); ++k) {
+            if (!bitwise_equal(acc1[k], avx2_acc[k])) ++isa_mismatches;
+          }
+          EXPECT_EQ(isa_mismatches, 0) << simd::isa_name(isa) << " n=" << n
+                                       << " m=" << m << " np=" << np
+                                       << " vs avx2";
           int mismatches = 0;
           for (std::int64_t r = 0; r < m; ++r) {
             for (std::int64_t j = 0; j < 16 * np; ++j) {
@@ -426,15 +399,18 @@ TEST(SimdKernelParity, LinearFamily) {
 }
 
 TEST(SimdKernelParity, LinearSbiMultiRowIsOneFmaChainPerOutput) {
-  // Every multi-row linear_sbi output is one sequential FMA chain over the
-  // input index: on AVX2 and AVX-512 it equals a std::fmaf chain from 0
-  // plus the bias, bitwise, and on every path a row's result does not
-  // depend on the other rows of the call. m covers 1..2 full 6- and 8-row
-  // tiles with every remainder, out covers odd panel counts (and odd panel
-  // pairs), a tail panel and out < 16.
+  // Every linear_sbi output, m == 1 decode included, is one sequential FMA
+  // chain over the input index: on AVX2 and AVX-512 it equals a std::fmaf
+  // chain from 0 plus the bias, bitwise, and on every path each row of an
+  // m-row call equals that row decoded alone (m == 1) bit for bit, so a
+  // sequence's output does not depend on the batch it ran in.
+  // linear_sbi_split keeps both properties per input slice: its output is
+  // the bias plus each slice's fmaf chain, summed in slice order. m covers
+  // 1 and 1..2 full 6- and 8-row tiles with every remainder, out covers odd
+  // panel counts (and odd panel pairs), a tail panel and out < 16.
   Rng rng(15);
   std::vector<std::int64_t> ms;
-  for (std::int64_t m = 2; m <= 17; ++m) ms.push_back(m);
+  for (std::int64_t m = 1; m <= 17; ++m) ms.push_back(m);
   ms.push_back(32);
   ms.push_back(33);
   for (std::int64_t out : {7, 8, 13, 16, 24, 36, 64, 80}) {
@@ -442,6 +418,8 @@ TEST(SimdKernelParity, LinearSbiMultiRowIsOneFmaChainPerOutput) {
       auto w = random_vec(rng, static_cast<std::size_t>(out * in), 0.1f);
       auto bias = random_vec(rng, static_cast<std::size_t>(out));
       PackedWeight packed(w, out, in);
+      const std::int64_t splits = std::min<std::int64_t>(3, in);
+      const std::int64_t chunk = (in + splits - 1) / splits;
       for (std::int64_t m : ms) {
         auto x = random_vec(rng, static_cast<std::size_t>(m * in));
         for (bool with_bias : {true, false}) {
@@ -453,32 +431,41 @@ TEST(SimdKernelParity, LinearSbiMultiRowIsOneFmaChainPerOutput) {
             simd::IsaOverrideGuard g(isa);
             const bool fused = simd::active_isa() != simd::KernelIsa::kScalar;
             std::vector<float> y(static_cast<std::size_t>(m * out));
+            std::vector<float> ys(y.size());
             linear_sbi(x, packed, b, y, m);
+            linear_sbi_split(x, packed, b, ys, m, splits);
             std::vector<float> ref(y.size());
             linear_ref(x, w, b, ref, m, in, out);
             int chain_mismatches = 0, row_mismatches = 0;
+            int split_chain_mismatches = 0, split_row_mismatches = 0;
             for (std::int64_t r = 0; r < m; ++r) {
-              const float* xr = x.data() + r * in;
-              std::vector<float> x2(xr, xr + in);
-              x2.insert(x2.end(), xr, xr + in);
-              std::vector<float> y2(static_cast<std::size_t>(2 * out));
-              linear_sbi(x2, packed, b, y2, 2);
+              const std::span<const float> xr(x.data() + r * in,
+                                              static_cast<std::size_t>(in));
+              std::vector<float> y1(static_cast<std::size_t>(out));
+              std::vector<float> ys1(y1.size());
+              linear_sbi(xr, packed, b, y1, 1);
+              linear_sbi_split(xr, packed, b, ys1, 1, splits);
               for (std::int64_t o = 0; o < out; ++o) {
-                const float got = y[static_cast<std::size_t>(r * out + o)];
-                if (std::bit_cast<std::uint32_t>(got) !=
-                    std::bit_cast<std::uint32_t>(
-                        y2[static_cast<std::size_t>(o)])) {
-                  ++row_mismatches;
+                const std::size_t k = static_cast<std::size_t>(r * out + o);
+                const auto ko = static_cast<std::size_t>(o);
+                if (!bitwise_equal(y[k], y1[ko])) ++row_mismatches;
+                if (!bitwise_equal(ys[k], ys1[ko])) ++split_row_mismatches;
+                if (!fused) continue;
+                const float bo = with_bias ? bias[ko] : 0.0f;
+                const float* wo = w.data() + o * in;
+                if (!bitwise_equal(y[k],
+                                   fmaf_chain(xr.data(), wo, 1, in, 0.0f) +
+                                       bo)) {
+                  ++chain_mismatches;
                 }
-                if (fused) {
-                  const float want =
-                      fmaf_chain(xr, w.data() + o * in, 1, in, 0.0f) +
-                      (with_bias ? bias[static_cast<std::size_t>(o)] : 0.0f);
-                  if (std::bit_cast<std::uint32_t>(got) !=
-                      std::bit_cast<std::uint32_t>(want)) {
-                    ++chain_mismatches;
-                  }
+                float want = bo;
+                for (std::int64_t sp = 0; sp < splits; ++sp) {
+                  const std::int64_t i0 = std::min(in, sp * chunk);
+                  const std::int64_t i1 = std::min(in, i0 + chunk);
+                  want += fmaf_chain(xr.data() + i0, wo + i0, 1, i1 - i0,
+                                     0.0f);
                 }
+                if (!bitwise_equal(ys[k], want)) ++split_chain_mismatches;
               }
             }
             EXPECT_EQ(chain_mismatches, 0)
@@ -486,7 +473,13 @@ TEST(SimdKernelParity, LinearSbiMultiRowIsOneFmaChainPerOutput) {
             EXPECT_EQ(row_mismatches, 0)
                 << simd::isa_name(simd::active_isa()) << " m=" << m
                 << " in=" << in << " out=" << out;
+            EXPECT_EQ(split_chain_mismatches, 0)
+                << "split m=" << m << " in=" << in << " out=" << out;
+            EXPECT_EQ(split_row_mismatches, 0)
+                << simd::isa_name(simd::active_isa()) << " split m=" << m
+                << " in=" << in << " out=" << out;
             expect_close(y, ref, 1e-5f, 1e-5f);
+            expect_close(ys, ref, 1e-5f, 1e-5f);
           }
         }
       }
